@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test check bench bench-smoke bench-dynamic-smoke bench-scale-smoke shard-smoke trace-smoke verify-smoke zoo-smoke serve-smoke experiments report examples all
+.PHONY: install test check bench bench-smoke bench-dynamic-smoke bench-scale-smoke perfbench-smoke shard-smoke trace-smoke verify-smoke zoo-smoke serve-smoke experiments report examples all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -60,6 +60,15 @@ bench-dynamic-smoke:
 # grid ("Scaling past one machine" in docs/PERFORMANCE.md).
 bench-scale-smoke:
 	$(PYTHON) benchmarks/bench_scale.py --quick
+
+# Benchmark self-check: the perfbench unit tests, then short untraced
+# runs of the two fresh-topology workloads, which exit 1 on any failed
+# output check (flood rounds == reference, drain counts == n, exact
+# counters repeating across operations).
+perfbench-smoke:
+	$(PYTHON) -m pytest -q perfbench/tests
+	$(PYTHON) perfbench/run.py --workload flood-fresh --seed 1 --seconds 3 --trace 0
+	$(PYTHON) perfbench/run.py --workload drain-lanes --seed 1 --seconds 3 --trace 0
 
 # Sharded-sweep smoke: the same report split as two disjoint shards
 # with separate caches, journals folded by `repro merge-journals`,

@@ -28,6 +28,16 @@ This module owns that lowering:
   stacking of independent lanes, so a batch of runs (seeds x sizes of a
   sweep point) executes as one fused matvec per round.
 
+Every adjacency comes out of one edges->CSR kernel: directed keys
+``row * n + col`` for both orientations, sorted once (``np.unique``
+hashes and then sorts on numpy >= 2.3, about twice the cost), adjacent
+duplicates dropped, ``indices = keys % n`` and ``indptr`` from a row
+``bincount`` -- canonical CSR with unit weights and no COO round trip.
+The matrix is symmetric by construction, so a directed BFS from node 0
+reaching all ``n`` nodes is exactly connectivity, with no transpose.
+Stacking concatenates the parts' arrays with node and nnz offsets,
+which is the block-diagonal matrix itself, already canonical.
+
 Both caches are *bounded* (LRU): a fresh-graph-per-round workload used
 to retain one lowered graph + CSR matrix per executed round for the
 cache's lifetime; evictions are observable through the
@@ -54,7 +64,7 @@ from typing import Hashable, Iterable, Sequence
 import networkx as nx
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order
 
 from repro.obs.metrics import counter
 from repro.simulation.errors import TopologyError
@@ -98,21 +108,6 @@ def index_dtype_for(n: int) -> np.dtype:
     ``indptr`` ends at ``nnz``.
     """
     return np.dtype(np.int32 if n < INT32_LIMIT else np.int64)
-
-
-def _with_index_dtype(matrix: sp.csr_array) -> sp.csr_array:
-    """Normalize a CSR matrix's index arrays to the policy dtype."""
-    dtype = index_dtype_for(max(int(matrix.shape[0]), int(matrix.nnz)))
-    if matrix.indices.dtype == dtype and matrix.indptr.dtype == dtype:
-        return matrix
-    return sp.csr_array(
-        (
-            matrix.data,
-            matrix.indices.astype(dtype),
-            matrix.indptr.astype(dtype),
-        ),
-        shape=matrix.shape,
-    )
 
 
 #: Optional compiled receive-phase kernel, installed process-wide by
@@ -238,22 +233,10 @@ def lower_graph(graph: nx.Graph, *, n: int | None = None) -> CSRAdjacency:
             f"self-loop at node(s) {sorted(loops)[:10]}; a process is "
             "never its own neighbour"
         )
-    matrix = _with_index_dtype(
-        nx.to_scipy_sparse_array(
-            graph, nodelist=range(expected), dtype=np.float64, format="csr"
-        )
-    )
-    if expected <= 1:
-        connected = True
-    else:
-        connected = (
-            connected_components(
-                matrix, directed=False, return_labels=False
-            )
-            == 1
-        )
+    edges = np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2)
+    adjacency = _adjacency_from_edges(expected, edges[:, 0], edges[:, 1])
     counter("adjacency.builds")
-    return CSRAdjacency(matrix, connected=bool(connected))
+    return adjacency
 
 
 def validate_edge_arrays(
@@ -314,34 +297,35 @@ def csr_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> CSRAdjacency:
     Raises:
         TopologyError: Endpoint out of range or self-loop.
     """
-    u, v = validate_edge_arrays(n, u, v)
-    # Canonicalize to (min, max) pairs, dedupe via the scalar pair key.
-    # Key arithmetic stays in int64 regardless of the storage dtype:
-    # ``a * n + b`` reaches ~n^2, which overflows int32 from n ~ 46341.
-    a = np.minimum(u, v).astype(np.int64, copy=False)
-    b = np.maximum(u, v).astype(np.int64, copy=False)
-    keys = np.unique(a * np.int64(n) + b)
-    a = keys // n
-    b = keys % n
-    dtype = index_dtype_for(n)
-    rows = np.concatenate([a, b]).astype(dtype, copy=False)
-    cols = np.concatenate([b, a]).astype(dtype, copy=False)
-    matrix = _with_index_dtype(
-        sp.csr_array(
-            (np.ones(rows.size, dtype=np.float64), (rows, cols)),
-            shape=(n, n),
-        )
-    )
-    if n <= 1:
-        connected = True
-    else:
-        connected = (
-            connected_components(matrix, directed=False, return_labels=False)
-            == 1
-        )
+    adjacency = _adjacency_from_edges(n, u, v)
     counter("adjacency.builds")
     counter("adjacency.native_builds")
-    return CSRAdjacency(matrix, connected=bool(connected))
+    return adjacency
+
+
+def _adjacency_from_edges(
+    n: int, u: np.ndarray, v: np.ndarray
+) -> CSRAdjacency:
+    """The one edges->CSR kernel behind every adjacency of this module."""
+    u, v = validate_edge_arrays(n, u, v)
+    # Keys stay int64 whatever the storage dtype: ``row * n + col``
+    # reaches ~n^2, which overflows int32 from n ~ 46341.
+    u, v = u.astype(np.int64), v.astype(np.int64)
+    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    keep = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    rows, cols = np.divmod(keys[keep], n)
+    dtype = index_dtype_for(max(n, rows.size))
+    indptr = np.zeros(n + 1, dtype=dtype)
+    indptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
+    matrix = sp.csr_array(
+        (np.ones(cols.size), cols.astype(dtype), indptr), shape=(n, n)
+    )
+    matrix.has_canonical_format = True
+    connected = n <= 1 or breadth_first_order(
+        matrix, 0, directed=True, return_predecessors=False
+    ).size == n
+    return CSRAdjacency(matrix, connected=connected)
 
 
 def graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> nx.Graph:
@@ -450,11 +434,25 @@ def stack_adjacencies(parts: Sequence[CSRAdjacency]) -> CSRAdjacency:
         raise ValueError("need at least one adjacency to stack")
     if len(parts) == 1:
         return parts[0]
-    matrix = sp.block_diag([part.matrix for part in parts], format="csr")
-    counter("adjacency.stack_builds")
-    return CSRAdjacency(
-        _with_index_dtype(sp.csr_array(matrix)), connected=None
+    n = sum(part.n for part in parts)
+    dtype = index_dtype_for(max(n, sum(part.matrix.nnz for part in parts)))
+    indices, indptr = [], [np.zeros(1, dtype=dtype)]
+    offset = nnz = 0
+    for part in parts:
+        indices.append(part.matrix.indices.astype(dtype) + offset)
+        indptr.append(part.matrix.indptr[1:].astype(dtype) + nnz)
+        offset += part.n
+        nnz += part.matrix.nnz
+    data = np.concatenate([part.matrix.data for part in parts])
+    matrix = sp.csr_array(
+        (data, np.concatenate(indices), np.concatenate(indptr)),
+        shape=(n, n),
     )
+    matrix.has_canonical_format = all(
+        part.matrix.has_canonical_format for part in parts
+    )
+    counter("adjacency.stack_builds")
+    return CSRAdjacency(matrix, connected=None)
 
 
 class StackCache:

@@ -27,6 +27,7 @@ The serving-layer contract (the "millions of users" path):
 from __future__ import annotations
 
 import queue
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -53,6 +54,8 @@ FAILED = "failed"
 CACHED = "cached"
 
 _TERMINAL = (COMPLETED, FAILED, CACHED)
+
+_EVENTS_FILE = re.compile(r"job-(\d+)\.events\.jsonl")
 
 
 @dataclass
@@ -113,6 +116,10 @@ class JobManager:
         cache/scenario-<digest>.journal.jsonl
         jobs/<job-id>.events.jsonl streamed JSONL progress
 
+    Job ids continue after the highest ``job-NNNN`` events file already
+    in ``jobs/``: the events sink appends, so a restarted service that
+    reused an id would mix two jobs' trace roots in one stream.
+
     Thread model: HTTP handler threads call :meth:`submit` /
     :meth:`get` / :meth:`list_jobs`; one daemon worker thread executes
     jobs strictly in submission order (experiment concurrency belongs
@@ -130,7 +137,14 @@ class JobManager:
         self._order: list[str] = []
         self._queue: "queue.Queue[Job | None]" = queue.Queue()
         self._lock = threading.Lock()
-        self._sequence = 0
+        self._sequence = max(
+            (
+                int(match.group(1))
+                for path in self.jobs_dir.iterdir()
+                if (match := _EVENTS_FILE.fullmatch(path.name))
+            ),
+            default=0,
+        )
         self._worker = threading.Thread(
             target=self._work, name="repro-service-worker", daemon=True
         )

@@ -122,7 +122,7 @@ def _check_lowering(graph: nx.Graph, n: int, label: str) -> list[str]:
     violations: list[str] = []
     adjacency = lower_graph(graph, n=n)
     dense = adjacency.matrix.toarray()
-    reference = nx.to_numpy_array(graph, nodelist=range(n))
+    reference = nx.to_numpy_array(graph, nodelist=range(n), weight=None)
     if not np.array_equal(dense, reference):
         rows, cols = np.nonzero(dense != reference)
         where = sorted(zip(rows.tolist(), cols.tolist()))[:5]
@@ -157,7 +157,7 @@ def _check_native_csr(
     violations: list[str] = []
     adjacency = network.to_csr(round_no)
     dense = adjacency.matrix.toarray()
-    reference = nx.to_numpy_array(graph, nodelist=range(n))
+    reference = nx.to_numpy_array(graph, nodelist=range(n), weight=None)
     if not np.array_equal(dense, reference):
         rows, cols = np.nonzero(dense != reference)
         where = sorted(zip(rows.tolist(), cols.tolist()))[:5]

@@ -9,6 +9,7 @@ accumulation-order tolerance.
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -27,6 +28,7 @@ from repro.core.dissemination import (
     disseminate_by_flooding,
     disseminate_by_flooding_batch,
 )
+from repro.networks.dynamic_graph import DynamicGraph
 from repro.networks.generators.random_dynamic import RandomConnectedAdversary
 from repro.obs.metrics import MetricsRegistry, use_registry
 
@@ -129,6 +131,30 @@ class TestProtocolEquivalence:
             assert np.allclose(
                 gossip_size_estimates(topology, n, 30), curve, rtol=1e-9
             )
+
+    def test_gossip_ignores_edge_weights(self):
+        # The object engine never reads edge attributes, so a weighted
+        # topology must lower to the same unit-weight adjacency.
+        graph = nx.cycle_graph(6)
+        graph.add_edge(0, 3)
+        for u, v in graph.edges:
+            graph[u][v]["weight"] = 1 + u + v
+
+        def run(backend):
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                estimates = gossip_size_estimates(
+                    DynamicGraph.from_graphs([graph]), 6, 30, backend=backend
+                )
+            counters = registry.snapshot()["counters"]
+            traffic = ("engine.rounds", "engine.messages_sent",
+                       "engine.messages_delivered")
+            return estimates, {name: counters[name] for name in traffic}
+
+        object_estimates, object_traffic = run("object")
+        fast_estimates, fast_traffic = run("fast")
+        assert np.allclose(object_estimates, fast_estimates, rtol=1e-9)
+        assert object_traffic == fast_traffic
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("n,horizon", ((5, 4), (14, 6)))

@@ -14,7 +14,7 @@ import pytest
 from repro.analysis.registry import ExperimentRequest
 from repro.analysis.runtime import ResultCache, run_sweep
 from repro.obs.metrics import get_registry
-from repro.obs.trace import stitch
+from repro.obs.trace import read_events, stitch
 from repro.scenarios import Scenario
 from repro.service import JobManager, ReproService, ServiceClient, ServiceError
 
@@ -123,6 +123,31 @@ class TestJobManager:
             assert manager.wait(ok["job"], timeout_s=120).state == "completed"
         finally:
             manager.shutdown()
+
+    def test_restart_on_same_state_dir_gets_fresh_job_ids(self, tmp_path):
+        """A restarted manager must not reuse a job id whose events file
+        already exists: the append-mode sink would mix two trace roots."""
+        state_dir = tmp_path / "state"
+        first = JobManager(state_dir)
+        try:
+            old = first.submit(Scenario.from_dict(SMOKE))["job"]
+            assert first.wait(old, timeout_s=120).state == "completed"
+        finally:
+            first.shutdown()
+        second = JobManager(state_dir)
+        try:
+            submission = second.submit(
+                Scenario.from_dict({**SMOKE, "cache_policy": "refresh"})
+            )
+            new = submission["job"]
+            assert new != old
+            job = second.wait(new, timeout_s=120)
+            assert job.state == "completed"
+        finally:
+            second.shutdown()
+        events, bad = read_events([job.events_path])
+        assert bad == 0
+        assert len(stitch(events)) == 1
 
 
 class TestHttpService:

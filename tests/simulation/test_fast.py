@@ -74,6 +74,12 @@ class TestLowerGraph:
         x = np.array([10.0, 1.0, 2.0, 3.0])
         assert list(adjacency.matvec(x)) == [6.0, 10.0, 10.0, 10.0]
 
+    def test_edge_weights_ignored(self):
+        graph = nx.path_graph(4)
+        graph[0][1]["weight"] = 5
+        adjacency = lower_graph(graph)
+        assert list(adjacency.matvec(np.ones(4))) == [1.0, 2.0, 2.0, 1.0]
+
     def test_disconnected_recorded(self):
         graph = nx.Graph()
         graph.add_nodes_from(range(4))
