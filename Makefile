@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test check bench bench-smoke bench-dynamic-smoke bench-scale-smoke perfbench-smoke shard-smoke trace-smoke verify-smoke zoo-smoke serve-smoke experiments report examples all
+.PHONY: install test check smoke bench bench-smoke bench-dynamic-smoke bench-scale-smoke perfbench-smoke shard-smoke trace-smoke verify-smoke zoo-smoke serve-smoke experiments report examples all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -14,32 +14,41 @@ test:
 SMOKE_EXPERIMENTS = --experiment tab-star-pd1 --experiment tab-kernel-structure \
 	--experiment fig1-pd2-example --experiment fig2-transformation
 
-# Tier-1 gate: lint, the full test suite, plus CLI smoke runs
-# exercising the sparse backend, the parallel experiment runner, the
-# observability layer (metrics snapshot must parse), and the
-# fault-tolerant runtime (injected faults, checkpoint resume).
+# Tier-1 gate: lint, the full test suite, then the CLI smoke runs.
 check:
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests benchmarks; \
 	else echo "ruff not installed; skipping lint"; fi
 	$(PYTHON) -m pytest -x -q tests/
+	$(MAKE) smoke
+
+# CLI smoke runs exercising the sparse backend (metrics snapshot must
+# parse and show sparse builds and the experiment span), the parallel
+# experiment runner on both backends, and the fault-tolerant runtime:
+# a transient fault is retried away; a killed worker aborts the sweep;
+# --resume finishes it from the journal without re-running completed
+# tasks (see docs/ROBUSTNESS.md).
+smoke:
 	$(PYTHON) -m repro run tab-kernel-structure --metrics-out .check-metrics.json
 	$(PYTHON) -c "import json; s = json.load(open('.check-metrics.json')); \
-	assert s['counters']['experiments.run'] == 1, s"
+	assert s['counters']['experiments.run'] == 1, s; \
+	assert s['counters']['sparse.builds'] > 0, s; \
+	assert 'span.experiment.run.s' in s['histograms'], s"
 	@rm -f .check-metrics.json
 	$(PYTHON) -m repro all --jobs 2
-	# Fault-tolerance smoke: a transient fault is retried away; a killed
-	# worker aborts the sweep; --resume finishes it from the journal
-	# without re-running completed tasks (see docs/ROBUSTNESS.md).
+	$(PYTHON) -m repro all --backend fast --jobs 2
 	$(PYTHON) -m repro run tab-kernel-structure --inject-fault raise@0 --retries 2
-	@rm -rf .check-cache .check-report.md
+	@rm -rf .check-cache .check-report.md .check-resume-metrics.json
 	! $(PYTHON) -m repro report .check-report.md $(SMOKE_EXPERIMENTS) \
 		--jobs 2 --cache-dir .check-cache --inject-fault kill@2 --retries 0 \
 		2> /dev/null
 	test -s .check-cache/journal.jsonl
 	$(PYTHON) -m repro report .check-report.md $(SMOKE_EXPERIMENTS) \
-		--jobs 2 --cache-dir .check-cache --resume
+		--jobs 2 --cache-dir .check-cache --resume \
+		--metrics-out .check-resume-metrics.json
 	grep -q "all experiments passed" .check-report.md
-	@rm -rf .check-cache .check-report.md
+	$(PYTHON) -c "import json; c = json.load(open('.check-resume-metrics.json'))['counters']; \
+	assert c.get('runtime.resume.skipped', 0) + c['experiments.run'] == 4, c"
+	@rm -rf .check-cache .check-report.md .check-resume-metrics.json
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

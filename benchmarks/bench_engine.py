@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 import trajectory
-from repro.analysis.sweep import chunked, log_spaced_sizes
+from repro.analysis.sweep import log_spaced_sizes
 from repro.core.counting.flooding import (
     flood_time_via_protocol,
     flood_times_batch,
@@ -64,7 +64,8 @@ RESULTS_DIR = HERE / "results"
 
 SEEDS = (3, 5, 11)
 GOSSIP_ROUNDS = 30
-# One fused execution per chunk of seeds: bounds the stacked matrix while
+# One fused execution per chunk of LANE_CHUNK seeds (streamed with
+# max_lane_nodes=LANE_CHUNK * n): bounds the stacked matrix while
 # amortising the per-round Python overhead across lanes.
 LANE_CHUNK = 8
 
@@ -103,9 +104,9 @@ def bench_flooding_static(sizes: list[int], seeds: tuple[int, ...]) -> list[dict
         object_wall = time.perf_counter() - start
 
         start = time.perf_counter()
-        fast_rounds: list[int] = []
-        for chunk in chunked(fast_nets, LANE_CHUNK):
-            fast_rounds.extend(flood_times_batch([(net, 0) for net in chunk]))
+        fast_rounds = flood_times_batch(
+            [(net, 0) for net in fast_nets], max_lane_nodes=LANE_CHUNK * n
+        )
         fast_wall = time.perf_counter() - start
 
         assert object_rounds == fast_rounds, (
@@ -140,13 +141,11 @@ def bench_gossip_static(sizes: list[int], seeds: tuple[int, ...]) -> list[dict]:
         object_wall = time.perf_counter() - start
 
         start = time.perf_counter()
-        fast_curves: list[list[float]] = []
-        for chunk in chunked(fast_nets, LANE_CHUNK):
-            fast_curves.extend(
-                gossip_size_estimates_batch(
-                    [(net, n) for net in chunk], GOSSIP_ROUNDS
-                )
-            )
+        fast_curves = gossip_size_estimates_batch(
+            [(net, n) for net in fast_nets],
+            GOSSIP_ROUNDS,
+            max_lane_nodes=LANE_CHUNK * n,
+        )
         fast_wall = time.perf_counter() - start
 
         assert np.allclose(object_curves, fast_curves, rtol=1e-9), (
@@ -188,13 +187,11 @@ def bench_flooding_dynamic(
         object_wall = time.perf_counter() - start
 
         start = time.perf_counter()
-        fast_rounds: list[int] = []
-        for chunk in chunked(seeds, LANE_CHUNK):
-            jobs = [
-                (_dynamic_adversary(n, seed).as_dynamic_graph(), 0)
-                for seed in chunk
-            ]
-            fast_rounds.extend(flood_times_batch(jobs))
+        jobs = [
+            (_dynamic_adversary(n, seed).as_dynamic_graph(), 0)
+            for seed in seeds
+        ]
+        fast_rounds = flood_times_batch(jobs, max_lane_nodes=LANE_CHUNK * n)
         fast_wall = time.perf_counter() - start
 
         assert object_rounds == fast_rounds, (

@@ -16,7 +16,7 @@ import time
 
 from conftest import run_and_record
 
-from repro.analysis.parallel import run_experiments
+from repro.analysis.runtime import run_sweep
 from repro.core.lowerbound.kernel import nullspace_dimension
 from repro.core.lowerbound.matrices import build_matrix
 from repro.core.lowerbound.sparse import (
@@ -85,10 +85,10 @@ def test_sparse_nullity_benchmark(benchmark):
 
 def test_parallel_vs_serial_runner(results_dir):
     start = time.perf_counter()
-    serial = run_experiments(PARALLEL_BUNDLE, jobs=1)
+    serial = run_sweep(PARALLEL_BUNDLE, jobs=1).results
     serial_wall = time.perf_counter() - start
     start = time.perf_counter()
-    parallel = run_experiments(PARALLEL_BUNDLE, jobs=2)
+    parallel = run_sweep(PARALLEL_BUNDLE, jobs=2).results
     parallel_wall = time.perf_counter() - start
     for a, b in zip(serial, parallel):
         assert a.rows == b.rows, a.experiment

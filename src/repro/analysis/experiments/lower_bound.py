@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.fitting import fit_log3
-from repro.analysis.parallel import parallel_map
 from repro.analysis.registry import ExperimentResult
+from repro.analysis.runtime import parallel_map
 from repro.analysis.sweep import log_spaced_sizes
 from repro.adversaries.worst_case import (
     max_ambiguity_multigraph,

@@ -61,7 +61,6 @@ def full_report(
     policy: RetryPolicy | None = None,
     faults: FaultPlan | None = None,
     shard: tuple[int, int] | None = None,
-    **removed,
 ) -> str:
     """Run experiments (default: all) and render one Markdown document.
 
@@ -89,22 +88,7 @@ def full_report(
     the runtime has something to declare (resume, retries exhausted,
     degradation to serial) -- partial-run provenance is part of the
     report, not hidden in logs.
-
-    Raises:
-        TypeError: The removed ``params=`` kwarg was passed (as an
-            unexpected keyword); pass ``requests=`` built from
-            :class:`ExperimentRequest` values --
-            :func:`repro.analysis.sweep.grid_requests` expands
-            option/parameter grids.
     """
-    if removed:
-        raise TypeError(
-            f"full_report() got unsupported keyword(s) "
-            f"{sorted(removed)}: the deprecated params= path was "
-            "removed -- pass requests= built from ExperimentRequest "
-            "values (repro.analysis.sweep.grid_requests expands "
-            "option/parameter grids)"
-        )
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
     if requests is None:

@@ -5,7 +5,9 @@ for the guarantees and the journal format):
 
 * :mod:`~repro.analysis.runtime.runner` -- :func:`run_sweep`, the
   process-per-attempt executor with per-task wall-clock timeouts,
-  bounded retries, serial degradation, and resume.
+  bounded retries, serial degradation, and resume; plus
+  :func:`parallel_map`, the plain process-pool map used inside
+  experiments.
 * :mod:`~repro.analysis.runtime.journal` -- the append-only JSONL
   checkpoint journal a resumed run replays.
 * :mod:`~repro.analysis.runtime.retry` -- :class:`RetryPolicy`
@@ -36,7 +38,12 @@ from repro.analysis.runtime.journal import (
     shard_of,
 )
 from repro.analysis.runtime.retry import RetryPolicy
-from repro.analysis.runtime.runner import SweepOutcome, run_sweep, timed_run
+from repro.analysis.runtime.runner import (
+    SweepOutcome,
+    parallel_map,
+    run_sweep,
+    timed_run,
+)
 
 __all__ = [
     "FaultPlan",
@@ -51,6 +58,7 @@ __all__ = [
     "WorkerCrash",
     "classify_error",
     "merge_journals",
+    "parallel_map",
     "parse_shard",
     "run_sweep",
     "shard_of",

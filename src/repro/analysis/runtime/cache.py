@@ -1,8 +1,6 @@
 """On-disk result caching for experiment runs.
 
-Home of :class:`ResultCache` (re-exported from
-:mod:`repro.analysis.parallel` for backward compatibility).  The cache
-digest doubles as the checkpoint journal's params-hash, which is why it
+Home of :class:`ResultCache`.  The cache digest doubles as the checkpoint journal's params-hash, which is why it
 lives in the runtime package: journal and cache must agree on task
 identity byte-for-byte.
 """

@@ -1,10 +1,10 @@
 """The fault-tolerant sweep executor behind ``repro all``.
 
-Where the old :func:`repro.analysis.parallel.run_experiments` handed a
-list of tasks to a ``ProcessPoolExecutor`` and died with the first
-failure, :func:`run_sweep` owns each attempt's process directly -- one
-``multiprocessing.Process`` per attempt, at most ``jobs`` alive at a
-time -- which is what makes the fault-tolerance guarantees enforceable:
+Rather than handing a list of tasks to a ``ProcessPoolExecutor`` and
+dying with the first failure, :func:`run_sweep` owns each attempt's
+process directly -- one ``multiprocessing.Process`` per attempt, at
+most ``jobs`` alive at a time -- which is what makes the
+fault-tolerance guarantees enforceable:
 
 * **Timeouts**: each attempt carries a wall-clock deadline; a hung
   worker is ``terminate()``-d and the task retried (a shared pool
@@ -32,6 +32,11 @@ processes.  Metrics: every attempt runs under a fresh
 :class:`~repro.obs.metrics.MetricsRegistry` whose snapshot is merged
 into the caller's registry on success, so aggregated counters are
 identical for serial, parallel, and resumed runs.
+
+:func:`parallel_map` is the plain process-pool map for work that is
+not an experiment request (the rounds-vs-n sweeps inside one
+experiment); a worker that dies mid-task surfaces as a
+:class:`~repro.analysis.runtime.errors.WorkerCrash` naming the item.
 """
 
 from __future__ import annotations
@@ -39,10 +44,12 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as connection_wait
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from repro.analysis.registry import (
     ExperimentRequest,
@@ -83,7 +90,7 @@ from repro.obs.spans import (
 
 _log = get_logger("analysis.runtime.runner")
 
-__all__ = ["SweepOutcome", "run_sweep", "timed_run"]
+__all__ = ["SweepOutcome", "parallel_map", "run_sweep", "timed_run"]
 
 #: Seconds the scheduling loop sleeps when nothing is ready or running.
 _TICK_S = 0.05
@@ -734,3 +741,91 @@ def run_sweep(
         outcome.provenance.extend(runner.provenance)
     outcome.results = [results[task.index] for task in tasks]
     return outcome
+
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+
+
+def _describe(item: Any) -> str:
+    description = repr(item)
+    if len(description) > 200:
+        description = description[:197] + "..."
+    return description
+
+
+def _annotate_failure(
+    exc: BaseException, fn: Callable[..., Any], index: int, item: Any
+) -> None:
+    """Log and annotate a per-item failure with *which* item failed.
+
+    The original exception is re-raised by the caller unchanged (same
+    type, same traceback); on Python >= 3.11 it additionally carries an
+    ``add_note`` line naming the function, index, and item.
+    """
+    description = _describe(item)
+    _log.error(
+        "parallel item failed",
+        extra={
+            "fn": getattr(fn, "__name__", repr(fn)),
+            "index": index,
+            "item": description,
+            "error": f"{type(exc).__name__}: {exc}",
+        },
+    )
+    if hasattr(exc, "add_note"):
+        exc.add_note(
+            f"parallel_map: item {index} ({description}) failed under "
+            f"{getattr(fn, '__name__', repr(fn))}"
+        )
+
+
+def parallel_map(
+    fn: Callable[[_T], _R], items: Iterable[_T], *, jobs: int = 1
+) -> list[_R]:
+    """``[fn(item) for item in items]``, optionally over a process pool.
+
+    Args:
+        fn: A module-level (picklable) function.
+        items: Its inputs; results keep this order.
+        jobs: Worker processes; ``<= 1`` runs serially in-process (no
+            pool, no pickling -- bit-identical to a plain loop).
+
+    Raises:
+        WorkerCrash: A worker process died mid-task (OOM kill,
+            segfault, ``os._exit``); the message names the first item
+            whose result was lost, instead of surfacing an opaque
+            ``BrokenProcessPool``.
+        Exception: Whatever ``fn`` raised, re-raised as soon as the
+            failing item's result is reached (in submission order) and
+            annotated with the failing index/item instead of surfacing
+            anonymously after the whole pool drains.
+    """
+    items = list(items)
+    if jobs <= 1 or len(items) <= 1:
+        results: list[_R] = []
+        for index, item in enumerate(items):
+            try:
+                results.append(fn(item))
+            except Exception as exc:
+                _annotate_failure(exc, fn, index, item)
+                raise
+        return results
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+        results = []
+        for index, (item, future) in enumerate(zip(items, futures)):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:
+                crash = WorkerCrash(
+                    f"worker process died while running item {index} "
+                    f"({_describe(item)}) under "
+                    f"{getattr(fn, '__name__', repr(fn))}"
+                )
+                _annotate_failure(crash, fn, index, item)
+                raise crash from exc
+            except Exception as exc:
+                _annotate_failure(exc, fn, index, item)
+                raise
+        return results

@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import itertools
-from typing import Any, Mapping, Sequence, TypeVar
+from typing import Any, Mapping, Sequence
 
 from repro.analysis.registry import OPTION_FIELDS, ExperimentRequest
 from repro.obs.logger import get_logger
 
 _log = get_logger("analysis.sweep")
 
-__all__ = ["chunked", "grid_requests", "log_spaced_sizes"]
-
-_T = TypeVar("_T")
+__all__ = ["grid_requests", "log_spaced_sizes"]
 
 
 def grid_requests(
@@ -52,20 +50,6 @@ def grid_requests(
         extra={"experiment": experiment, "points": len(requests)},
     )
     return requests
-
-
-def chunked(items: Sequence[_T], size: int) -> list[list[_T]]:
-    """Split ``items`` into consecutive chunks of at most ``size``.
-
-    Used to batch sweep points into fast-backend lane groups: one chunk
-    becomes one fused :class:`~repro.simulation.fast.FastEngine`
-    execution, bounding the stacked matrix size while keeping the batch
-    large enough to amortise per-round overhead.
-    """
-    if size < 1:
-        raise ValueError("chunk size must be >= 1")
-    items = list(items)
-    return [items[start : start + size] for start in range(0, len(items), size)]
 
 
 def log_spaced_sizes(

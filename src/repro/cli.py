@@ -10,7 +10,7 @@ Usage::
     python -m repro all --jobs 4 --cache-dir .repro-cache
     python -m repro all --jobs 4 --cache-dir .repro-cache --resume
     python -m repro all --backend fast --timeout 600 --retries 3
-    python -m repro all --backend fast --jit on --max-lane-nodes 200000
+    python -m repro all --backend fast --max-lane-nodes 200000
     python -m repro report out/report.md --jobs 4
     python -m repro all --cache-dir shard-a --shard 0/2
     python -m repro merge-journals merged.jsonl shard-*/journal.jsonl
@@ -61,9 +61,6 @@ schema fields cannot drift):
 * ``--max-lane-nodes N`` -- stream the fast backend's lane batches in
   chunks of at most ``N`` stacked nodes (memory-bounded mega-scale
   runs; see ``docs/PERFORMANCE.md``).
-* ``--jit {auto,on,off}`` -- use the optional numba-compiled receive
-  kernel for fast-backend matvecs (``auto`` falls back silently when
-  numba is absent, ``on`` warns, ``off`` never compiles).
 * ``--shard I/N`` -- run only the tasks this shard owns (deterministic
   journal-key hash partition); fold the per-shard journals back with
   ``repro merge-journals OUT IN...`` and ``--resume``.
@@ -876,11 +873,6 @@ def main(argv: list[str] | None = None) -> int:
                     )
                 except ValueError as exc:
                     raise SystemExit(str(exc)) from exc
-            jit_mode = getattr(args, "jit", None)
-            if jit_mode is not None:
-                from repro.simulation import jit as jit_mod
-
-                stack.enter_context(jit_mod.jit_enabled(jit_mode))
             try:
                 return _execute(args)
             finally:

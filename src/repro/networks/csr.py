@@ -49,11 +49,6 @@ value (node count *and* stored entry count) fits, ``int64`` otherwise.
 On mega-scale lanes this halves the adjacency index memory; the dedup
 key arithmetic in :func:`csr_from_edges` always runs in ``int64`` so
 the narrower storage dtype can never overflow intermediate products.
-
-A compiled receive-phase kernel may be installed process-wide with
-:func:`set_matvec_kernel` (see :mod:`repro.simulation.jit`);
-:meth:`CSRAdjacency.matvec` consults it for the 1-D float64 hot path
-and otherwise falls back to the scipy matvec.
 """
 
 from __future__ import annotations
@@ -67,7 +62,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
 
 from repro.obs.metrics import counter
-from repro.simulation.errors import TopologyError
+from repro.simulation.errors import TopologyError, sorted_labels
 
 __all__ = [
     "CSRAdjacency",
@@ -78,8 +73,6 @@ __all__ = [
     "graph_from_edges",
     "index_dtype_for",
     "lower_graph",
-    "matvec_kernel",
-    "set_matvec_kernel",
     "stack_adjacencies",
     "validate_edge_arrays",
 ]
@@ -108,25 +101,6 @@ def index_dtype_for(n: int) -> np.dtype:
     ``indptr`` ends at ``nnz``.
     """
     return np.dtype(np.int32 if n < INT32_LIMIT else np.int64)
-
-
-#: Optional compiled receive-phase kernel, installed process-wide by
-#: :mod:`repro.simulation.jit`.  Signature:
-#: ``kernel(indptr, indices, x, out)`` summing ``x`` over each row's
-#: neighbours into ``out`` (unit edge weights are a class invariant of
-#: every adjacency built by this module).
-_MATVEC_KERNEL = None
-
-
-def set_matvec_kernel(kernel) -> None:
-    """Install (or clear, with ``None``) the compiled matvec kernel."""
-    global _MATVEC_KERNEL
-    _MATVEC_KERNEL = kernel
-
-
-def matvec_kernel():
-    """The currently installed compiled matvec kernel, if any."""
-    return _MATVEC_KERNEL
 
 
 class CSRAdjacency:
@@ -167,33 +141,12 @@ class CSRAdjacency:
         return int(self.matrix.nnz) // 2
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``A @ x``: per-node sum of the neighbours' values.
-
-        Dispatches to the compiled receive-phase kernel when one is
-        installed (:func:`set_matvec_kernel`) and ``x`` is the 1-D
-        float64 hot path; otherwise the scipy matvec.  Both paths sum
-        neighbour values in CSR index order, so results are identical.
-        """
-        kernel = _MATVEC_KERNEL
-        if kernel is not None and x.ndim == 1 and x.dtype == np.float64:
-            out = np.empty(self.n, dtype=np.float64)
-            kernel(
-                self.matrix.indptr,
-                self.matrix.indices,
-                np.ascontiguousarray(x),
-                out,
-            )
-            counter("adjacency.jit_matvecs")
-            return out
+        """``A @ x``: per-node sum of the neighbours' values."""
         return self.matrix @ x
 
     def matmul(self, X: np.ndarray) -> np.ndarray:
         """``A @ X`` for a dense per-node state matrix ``X``."""
         return self.matrix @ X
-
-    def neighbor_any(self, mask: np.ndarray) -> np.ndarray:
-        """Boolean per node: does any neighbour have ``mask`` set?"""
-        return (self.matrix @ mask.astype(np.float64)) > 0.0
 
     def __repr__(self) -> str:
         return (
@@ -224,8 +177,8 @@ def lower_graph(graph: nx.Graph, *, n: int | None = None) -> CSRAdjacency:
         range(expected)
     ):
         raise TopologyError(
-            f"graph nodes {sorted(graph.nodes)[:10]}... do not match the "
-            f"process indices 0..{expected - 1}"
+            f"graph nodes {sorted_labels(graph.nodes)[:10]}... do not "
+            f"match the process indices 0..{expected - 1}"
         )
     loops = [node for node, _ in nx.selfloop_edges(graph)]
     if loops:

@@ -20,7 +20,7 @@ from collections.abc import Callable, Sequence
 import networkx as nx
 
 from repro.networks.csr import AdjacencyCache, CSRAdjacency
-from repro.simulation.errors import ModelError, TopologyError
+from repro.simulation.errors import ModelError, TopologyError, sorted_labels
 
 __all__ = ["DynamicGraph"]
 
@@ -102,7 +102,7 @@ class DynamicGraph:
         if nodes != expected:
             raise ModelError(
                 f"graph nodes must be exactly {{0..{len(nodes) - 1}}}; "
-                f"unexpected labels {sorted(nodes - expected)}"
+                f"unexpected labels {sorted_labels(nodes - expected)}"
             )
         snapshot = [graph.copy() for graph in graphs]
         prefix_len = len(snapshot)
@@ -134,7 +134,7 @@ class DynamicGraph:
                     f"round {round_no}: provider produced node set of "
                     f"size {graph.number_of_nodes()}, expected "
                     f"{{0..{self.n - 1}}} (unexpected labels "
-                    f"{sorted(nodes - expected)}, missing "
+                    f"{sorted_labels(nodes - expected)}, missing "
                     f"{sorted(expected - nodes)})"
                 )
             if self._copy_on_cache:

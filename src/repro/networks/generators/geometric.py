@@ -10,7 +10,9 @@ model's 1-interval connectivity holds.
 
 Positions evolve sequentially (lazy and cached like
 :class:`repro.networks.generators.markov.EdgeMarkovDynamicGraph`), so a
-seed pins an entire trajectory.
+seed pins an entire trajectory.  Round graphs are rebuilt from the
+positions on demand and never retained: caching them is the
+:class:`~repro.networks.dynamic_graph.DynamicGraph`'s job.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ class RandomWaypointDynamicGraph:
         self.step = step
         self.seed = seed
         self._positions: list[np.ndarray] = []
-        self._rounds: list[nx.Graph] = []
 
     def positions(self, round_no: int) -> np.ndarray:
         """Node positions at a round (n x 2 array, lazily advanced)."""
@@ -66,12 +67,7 @@ class RandomWaypointDynamicGraph:
         self._positions.append(current)
 
     def at(self, round_no: int) -> nx.Graph:
-        while len(self._rounds) <= round_no:
-            index = len(self._rounds)
-            self._rounds.append(self._build(index))
-        return self._rounds[round_no]
-
-    def _build(self, round_no: int) -> nx.Graph:
+        """A freshly built graph of round ``round_no`` (not retained)."""
         points = self.positions(round_no)
         graph = nx.Graph()
         graph.add_nodes_from(range(self.n))

@@ -3,7 +3,7 @@
 ``run`` / ``all`` / ``report`` / ``scenario run`` / ``repro serve`` and
 the declarative scenario schema all execute sweeps with the same knobs:
 backend, jobs, seed, timeouts, retries, failure budgets, sharding,
-telemetry, lane budgets, JIT.  Before this module each surface wired
+telemetry, lane budgets.  Before this module each surface wired
 its own copy of those options and they drifted (the CLI had no
 ``--seed``; ``--telemetry`` lived in a different group than the rest).
 
@@ -196,20 +196,6 @@ EXECUTION_FIELDS: tuple[FieldSpec, ...] = (
         },
     ),
     FieldSpec(
-        "jit",
-        "--jit",
-        {
-            "choices": ["auto", "on", "off"],
-            "default": "auto",
-            "help": (
-                "fast backend: compile the receive-phase matvec kernel "
-                "with numba when importable ('auto', the default, falls "
-                "back to scipy silently; 'on' warns on fallback; 'off' "
-                "never compiles)"
-            ),
-        },
-    ),
-    FieldSpec(
         "shard",
         "--shard",
         {
@@ -282,7 +268,6 @@ class ExecutionOptions:
     retries: int = 2
     max_failures: int = 0
     max_lane_nodes: int | None = None
-    jit: str = "auto"
     shard: str | None = None
     telemetry: int | str | None = None
 
@@ -290,10 +275,6 @@ class ExecutionOptions:
         if self.backend not in ("object", "fast"):
             raise ValueError(
                 f"backend must be 'object' or 'fast', got {self.backend!r}"
-            )
-        if self.jit not in ("auto", "on", "off"):
-            raise ValueError(
-                f"jit must be 'auto', 'on' or 'off', got {self.jit!r}"
             )
         if not isinstance(self.jobs, int) or isinstance(self.jobs, bool):
             raise ValueError(f"jobs must be an integer, got {self.jobs!r}")

@@ -2,7 +2,7 @@
 
 :func:`run_scenario` is the one bridge from *scenario as data* to the
 runtime: it applies the scenario's ambient execution options
-(telemetry sampling, fast-backend lane budget, JIT mode) as scoped
+(telemetry sampling, fast-backend lane budget) as scoped
 contexts, builds the retry policy and shard selector, and hands the
 compiled requests to :func:`repro.analysis.runtime.run_sweep` under a
 ``scenario.run`` span -- so a scenario run traces, journals, retries,
@@ -72,10 +72,6 @@ def run_scenario(
             from repro.simulation.fast import lane_budget_enabled
 
             stack.enter_context(lane_budget_enabled(execution.max_lane_nodes))
-        if execution.jit != "auto":
-            from repro.simulation.jit import jit_enabled
-
-            stack.enter_context(jit_enabled(execution.jit))
         counter("scenario.runs")
         with span(
             "scenario.run",

@@ -27,6 +27,7 @@ from repro.simulation.errors import (
     ProtocolViolationError,
     TerminationError,
     TopologyError,
+    sorted_labels,
 )
 from repro.simulation.messages import Inbox
 from repro.simulation.node import Process
@@ -256,7 +257,8 @@ class SynchronousEngine:
             return graph
         if set(graph.nodes) != expected_nodes:
             raise TopologyError(
-                f"round {round_no}: graph nodes {sorted(graph.nodes)[:10]}... "
+                f"round {round_no}: graph nodes "
+                f"{sorted_labels(graph.nodes)[:10]}... "
                 f"do not match process indices 0..{len(expected_nodes) - 1}"
             )
         # A self-loop would deliver a node its own broadcast -- outside

@@ -8,6 +8,8 @@ propagate.
 
 from __future__ import annotations
 
+from typing import Hashable, Iterable
+
 __all__ = [
     "ReproError",
     "SimulationError",
@@ -16,7 +18,24 @@ __all__ = [
     "TerminationError",
     "ModelError",
     "InfeasibleObservationError",
+    "sorted_labels",
 ]
+
+
+def sorted_labels(labels: Iterable[Hashable]) -> list[Hashable]:
+    """Node labels in a stable order for error messages.
+
+    Plain ``sorted`` when the labels are mutually comparable; otherwise
+    (e.g. ``int`` mixed with ``str``) ordered by ``(type name, repr)``,
+    so reporting a malformed node set never raises ``TypeError`` itself.
+    """
+    labels = list(labels)
+    try:
+        return sorted(labels)
+    except TypeError:
+        return sorted(
+            labels, key=lambda label: (type(label).__name__, repr(label))
+        )
 
 
 class ReproError(Exception):

@@ -62,7 +62,7 @@ from repro.networks.properties import (
     is_t_interval_connected,
     verify_pd,
 )
-from repro.simulation.errors import ModelError
+from repro.simulation.errors import ModelError, sorted_labels
 from repro.verify import mutation
 from repro.verify.strategies import Case, build_network
 
@@ -95,7 +95,7 @@ def check_model_case(case: Case) -> list[str]:
         if nodes != expected_nodes:
             violations.append(
                 f"{label}: node set is not {{0..{n - 1}}} "
-                f"(unexpected {sorted(nodes - expected_nodes)}, "
+                f"(unexpected {sorted_labels(nodes - expected_nodes)}, "
                 f"missing {sorted(expected_nodes - nodes)})"
             )
             continue

@@ -540,23 +540,3 @@ class TestCliLaneBudgetAndJit:
                     "0",
                 ]
             )
-
-    def test_jit_off_runs_on_scipy(self, capsys):
-        from repro.simulation import jit
-
-        code = main(
-            [
-                "run",
-                "tab-star-pd1",
-                "--param",
-                "sizes=(2,)",
-                "--backend",
-                "fast",
-                "--jit",
-                "off",
-            ]
-        )
-        assert code == 0
-        assert "PASS" in capsys.readouterr().out
-        # the context unwound: ambient status is back to the default
-        assert jit.jit_status() == ("scipy", "jit not enabled")

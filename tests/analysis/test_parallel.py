@@ -1,4 +1,4 @@
-"""Tests for the parallel experiment runner and the result cache."""
+"""Tests for parallel_map, sweeps over mixed experiments, and the result cache."""
 
 from __future__ import annotations
 
@@ -6,13 +6,13 @@ import logging
 
 import pytest
 
-from repro.analysis.parallel import (
+from repro.analysis.registry import ExperimentResult, run_experiment
+from repro.analysis.runtime import (
     ResultCache,
     parallel_map,
-    run_experiments,
+    run_sweep,
     timed_run,
 )
-from repro.analysis.registry import ExperimentResult, run_experiment
 from repro.obs.metrics import MetricsRegistry, use_registry
 
 EXPERIMENTS = ["tab-star-pd1", "tab-kernel-structure"]
@@ -69,10 +69,12 @@ class TestTimedRun:
 
 
 class TestRunExperiments:
+    """A sweep over *different* experiments through ``run_sweep``."""
+
     def test_parallel_identical_to_serial(self):
         """Acceptance: --jobs N produces identical tables and checks."""
-        serial = run_experiments(EXPERIMENTS, jobs=1)
-        parallel = run_experiments(EXPERIMENTS, jobs=2)
+        serial = run_sweep(EXPERIMENTS, jobs=1).results
+        parallel = run_sweep(EXPERIMENTS, jobs=2).results
         for a, b in zip(serial, parallel):
             assert a.experiment == b.experiment
             assert a.rows == b.rows
@@ -81,7 +83,7 @@ class TestRunExperiments:
 
     def test_order_matches_request(self):
         names = list(reversed(EXPERIMENTS))
-        results = run_experiments(names, jobs=2)
+        results = run_sweep(names, jobs=2).results
         assert [r.experiment for r in results] == names
 
 
@@ -110,10 +112,10 @@ class TestResultCache:
         cache.path("tab-star-pd1", {}).write_text("{not json")
         assert cache.load("tab-star-pd1", {}) is None
 
-    def test_run_experiments_uses_cache(self, tmp_path):
+    def test_run_sweep_uses_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
-        first = run_experiments(["tab-star-pd1"], cache=cache)
-        second = run_experiments(["tab-star-pd1"], cache=cache)
+        first = run_sweep(["tab-star-pd1"], cache=cache).results
+        second = run_sweep(["tab-star-pd1"], cache=cache).results
         assert not any(
             note.startswith("cache: hit") for note in first[0].notes
         )
@@ -164,9 +166,9 @@ class TestMetricsAggregation:
         """Acceptance: worker registries merge losslessly into the
         caller's registry -- --jobs N aggregates the same counters."""
         with use_registry(MetricsRegistry()) as serial:
-            run_experiments(EXPERIMENTS, jobs=1)
+            run_sweep(EXPERIMENTS, jobs=1)
         with use_registry(MetricsRegistry()) as parallel:
-            run_experiments(EXPERIMENTS, jobs=2)
+            run_sweep(EXPERIMENTS, jobs=2)
         serial_counters = serial.snapshot()["counters"]
         parallel_counters = parallel.snapshot()["counters"]
         assert serial_counters == parallel_counters

@@ -6,7 +6,6 @@ import inspect
 
 import pytest
 
-from repro.analysis.parallel import ResultCache, run_experiments
 from repro.analysis.registry import (
     OPTION_FIELDS,
     ExperimentRequest,
@@ -15,6 +14,7 @@ from repro.analysis.registry import (
     get_experiment,
     run_experiment,
 )
+from repro.analysis.runtime import ResultCache
 
 
 class TestEffectiveParams:
@@ -183,23 +183,14 @@ class TestRunExperimentEntryPoint:
 
 
 class TestRemovedParamsKwarg:
-    """The PR-4 ``params=`` deprecation shims are gone: both entry
-    points now fail fast with a TypeError that points at the request
-    API (``grid_requests`` + ``run_sweep``/``requests=``)."""
-
-    def test_run_experiments_params_removed(self):
-        with pytest.raises(TypeError, match="grid_requests"):
-            run_experiments(["tab-star-pd1"], params={"backend": "fast"})
-
-    def test_run_experiments_still_runs_without_params(self):
-        results = run_experiments(["tab-star-pd1"])
-        assert results[0].experiment == "tab-star-pd1"
-        assert results[0].passed
+    """The ``params=`` sweep-wide override is gone: ``full_report`` has
+    no such keyword, so Python itself rejects it; grids go through
+    ``requests=`` (``grid_requests`` expands them)."""
 
     def test_full_report_params_removed(self):
         from repro.analysis.reporting import full_report
 
-        with pytest.raises(TypeError, match="grid_requests"):
+        with pytest.raises(TypeError, match="'params'"):
             full_report(
                 experiments=["tab-star-pd1"], params={"backend": "fast"}
             )

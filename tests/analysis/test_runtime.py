@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.analysis.parallel import parallel_map
+from repro.analysis.runtime import parallel_map
 from repro.analysis.registry import ExperimentRequest
 from repro.analysis.runtime import (
     FaultPlan,

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import networkx as nx
 import pytest
 
+from repro.networks.dynamic_graph import DynamicGraph
 from repro.networks.generators.geometric import (
     RandomWaypointDynamicGraph,
     random_waypoint_network,
@@ -112,6 +116,20 @@ class TestRandomWaypoint:
         a = random_waypoint_network(8, seed=7)
         b = random_waypoint_network(8, seed=7)
         assert set(a.at(5).edges()) == set(b.at(5).edges())
+
+    def test_walk_does_not_retain_round_graphs(self):
+        walk = RandomWaypointDynamicGraph(8, seed=7)
+        built = []
+
+        def provider(round_no):
+            graph = walk.at(round_no)
+            built.append(weakref.ref(graph))
+            return graph
+
+        network = DynamicGraph(8, provider)  # caches its own copy
+        network.at(3)
+        gc.collect()
+        assert built and built[0]() is None
 
     def test_geometry_determines_edges(self):
         walk = RandomWaypointDynamicGraph(12, radius=0.3, seed=4)

@@ -70,8 +70,6 @@ class TestCliSchemaEquivalence:
                 "0/2",
                 "--telemetry",
                 "every=10",
-                "--jit",
-                "off",
                 "--max-lane-nodes",
                 "1000",
                 "--resume",
@@ -100,6 +98,10 @@ class TestExecutionOptionsValidation:
     def test_unknown_key_named(self):
         with pytest.raises(ValueError, match="'threads'"):
             ExecutionOptions.from_dict({"threads": 4})
+
+    def test_removed_jit_key_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown execution option 'jit'"):
+            ExecutionOptions.from_dict({"jit": "off"})
 
     def test_bad_backend(self):
         with pytest.raises(ValueError, match="backend"):

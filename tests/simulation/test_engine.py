@@ -5,6 +5,8 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from repro.networks.csr import lower_graph
+from repro.networks.dynamic_graph import DynamicGraph
 from repro.simulation.engine import (
     DegreeOracleEngine,
     EngineConfig,
@@ -12,6 +14,7 @@ from repro.simulation.engine import (
     as_topology_provider,
 )
 from repro.simulation.errors import (
+    ModelError,
     ProtocolViolationError,
     TerminationError,
     TopologyError,
@@ -335,6 +338,52 @@ class TestEngineValidation:
             EngineConfig(max_rounds=0)
         with pytest.raises(ValueError):
             EngineConfig(stop_when="never")
+
+
+def _mixed_labels() -> nx.Graph:
+    return nx.Graph([(0, 1), (1, "x"), ("x", 7)])
+
+
+def _engine_run(graph: nx.Graph) -> None:
+    SynchronousEngine(
+        [EchoProcess() for _ in range(graph.number_of_nodes())],
+        lambda r: graph,
+        leader=None,
+        config=EngineConfig(stop_when="budget", max_rounds=1),
+    ).run()
+
+
+@pytest.mark.parametrize(
+    "check, error, match",
+    [
+        (
+            lambda: lower_graph(_mixed_labels()),
+            TopologyError,
+            "do not match the process indices",
+        ),
+        (
+            lambda: DynamicGraph.from_graphs([_mixed_labels()]),
+            ModelError,
+            r"unexpected labels \[7, 'x'\]",
+        ),
+        (
+            lambda: DynamicGraph(4, lambda r: _mixed_labels()).at(0),
+            TopologyError,
+            r"unexpected labels \[7, 'x'\], missing \[2, 3\]",
+        ),
+        (
+            lambda: _engine_run(_mixed_labels()),
+            TopologyError,
+            "do not match process indices",
+        ),
+    ],
+    ids=["lower_graph", "from_graphs", "at", "engine"],
+)
+def test_mixed_type_labels_raise_model_error(check, error, match):
+    """Regression: sorting ``int`` and ``str`` labels for the message
+    raised ``TypeError`` instead of the model error."""
+    with pytest.raises(error, match=match):
+        check()
 
 
 class TestTopologyProviderCoercion:
