@@ -52,7 +52,7 @@ from repro.core.counting.gossip import (
     gossip_size_estimates,
     gossip_size_estimates_batch,
 )
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.networks.generators.random_dynamic import (
     RandomConnectedAdversary,
     random_connected_graph,

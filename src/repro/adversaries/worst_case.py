@@ -23,7 +23,7 @@ from repro.core.lowerbound.pairs import twin_configurations
 from repro.core.solver import feasible_size_interval
 from repro.core.states import ObservationSequence
 from repro.networks.csr_native import precompile_schedule
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.networks.multigraph import DynamicMultigraph
 from repro.networks.transform import PD2Layout, mdbl_to_pd2
 

@@ -26,7 +26,7 @@ from repro.core.naming import (
     run_view_naming,
 )
 from repro.core.views import symmetry_degree, view_classes
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.networks.generators.figures import paper_figure1
 from repro.networks.generators.stars import star_network
 
@@ -65,7 +65,7 @@ def naming_vs_counting(
         )
 
     # An asymmetric network: the off-centre-rooted path.
-    path = DynamicGraph(5, lambda round_no: nx.path_graph(5))
+    path = DynamicGraph.from_graphs([nx.path_graph(5)])
     naming_round = earliest_naming_round(path, leader=1)
     names = name_by_views(path, naming_round, leader=1)
     rows.append(

@@ -22,7 +22,7 @@ from repro.core.counting.diluna_viglietta import count_diluna_viglietta
 from repro.core.counting.drain import count_chakraborty_mm, count_milani_mosteiro
 from repro.core.counting.kowalski_mosteiro import count_kowalski_mosteiro
 from repro.core.lowerbound.bounds import theorem1_bound
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.networks.generators.markov import edge_markov_network
 from repro.networks.generators.random_dynamic import RandomConnectedAdversary
 from repro.networks.generators.t_interval import t_interval_network

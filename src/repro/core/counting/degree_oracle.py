@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from repro.core.counting.base import CountingOutcome
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.simulation.engine import DegreeOracleEngine, EngineConfig
 from repro.simulation.messages import Inbox
 from repro.simulation.node import Process

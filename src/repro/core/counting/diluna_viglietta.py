@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from repro.core.counting.base import CountingOutcome
 from repro.core.counting.history import HistoryProcess, ViewTable
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.simulation.engine import EngineConfig, SynchronousEngine
 
 __all__ = ["count_diluna_viglietta", "default_history_budget"]

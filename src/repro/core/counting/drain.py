@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.core.counting.base import CountingOutcome
 from repro.networks.csr import CSRAdjacency
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.simulation.engine import EngineConfig, SynchronousEngine
 from repro.simulation.fast import (
     FastEngine,

@@ -28,7 +28,7 @@ from typing import Sequence
 from repro.core.counting.base import CountingOutcome
 from repro.core.counting.diluna_viglietta import default_history_budget
 from repro.core.counting.history import HistoryProcess, ViewTable
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.simulation.engine import EngineConfig, SynchronousEngine
 
 __all__ = ["count_kowalski_mosteiro"]

@@ -16,7 +16,7 @@ implements the protocol so both regimes can be executed.
 from __future__ import annotations
 
 from repro.core.counting.base import CountingOutcome
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.simulation.engine import EngineConfig, SynchronousEngine
 from repro.simulation.messages import Inbox
 from repro.simulation.node import Process

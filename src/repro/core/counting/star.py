@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.counting.base import CountingOutcome
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.networks.generators.stars import star_network
 from repro.simulation.engine import EngineConfig, SynchronousEngine
 from repro.simulation.fast import (

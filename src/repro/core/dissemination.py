@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.simulation.engine import EngineConfig, SynchronousEngine
 from repro.simulation.errors import ModelError
 from repro.simulation.fast import (

@@ -27,7 +27,7 @@ This module connects the two through the view machinery:
 from __future__ import annotations
 
 from repro.core.views import view_classes, view_table
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.simulation.engine import EngineConfig, SynchronousEngine
 from repro.simulation.messages import Inbox
 from repro.simulation.node import Process

@@ -28,7 +28,7 @@ construction and the construction itself is polynomial in
 
 from __future__ import annotations
 
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 
 __all__ = [
     "view",

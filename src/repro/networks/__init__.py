@@ -1,16 +1,15 @@
 """Dynamic graph substrate: graphs, multigraphs, properties, generators.
 
-* :mod:`repro.networks.dynamic_graph` -- the :class:`DynamicGraph`
+* :mod:`repro.networks.csr_native` -- the :class:`DynamicGraph`
   abstraction (Definition 1: an infinite sequence of graphs over a fixed
-  node set) usable directly as an engine topology provider.
+  node set), usable directly as an engine topology provider.  Its one
+  source of truth is a per-round edge-array provider; it serves both a
+  ``networkx`` view (object engine, oracles) and a direct CSR view (fast
+  backend), and :func:`precompile_schedule` compiles finite schedules
+  (worst-case instances) into stacked index arrays.
 * :mod:`repro.networks.properties` -- verifiers for 1-interval
   connectivity, persistent distance (Definitions 3-4), and the dynamic
   diameter ``D`` measured by exhaustive flooding.
-* :mod:`repro.networks.csr_native` -- CSR-native dynamic topologies:
-  :class:`CSRDynamicGraph` serves both a ``networkx`` view (object
-  engine, oracles) and a direct CSR view (fast backend) from one set of
-  per-round edge arrays; :func:`precompile_schedule` compiles finite
-  schedules (worst-case instances) into stacked index arrays.
 * :mod:`repro.networks.multigraph` -- dynamic bipartite labeled
   multigraphs ``M(DBL)_k`` (Section 4.1).
 * :mod:`repro.networks.transform` -- the Lemma 1 transformation
@@ -20,8 +19,7 @@
   random fair-adversary dynamics.
 """
 
-from repro.networks.csr_native import CSRDynamicGraph, precompile_schedule
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph, precompile_schedule
 from repro.networks.multigraph import DynamicMultigraph
 from repro.networks.properties import (
     dynamic_diameter,
@@ -33,7 +31,6 @@ from repro.networks.properties import (
 from repro.networks.transform import PD2Layout, mdbl_to_pd2
 
 __all__ = [
-    "CSRDynamicGraph",
     "DynamicGraph",
     "DynamicMultigraph",
     "PD2Layout",

@@ -19,11 +19,7 @@ This module owns that lowering:
   path: build a validated adjacency (or its ``networkx`` oracle view)
   straight from ``(u, v)`` edge index arrays, with no ``nx.Graph`` on
   the hot path -- the substrate of
-  :class:`repro.networks.csr_native.CSRDynamicGraph`;
-* :class:`AdjacencyCache` -- memoizes the lowering *per graph object*,
-  so a :class:`~repro.networks.dynamic_graph.DynamicGraph` that serves
-  the same cached graph under ``extend="hold"``/``"cycle"`` is lowered
-  and validated exactly once instead of once per round;
+  :class:`repro.networks.csr_native.DynamicGraph`;
 * :func:`stack_adjacencies` / :class:`StackCache` -- block-diagonal
   stacking of independent lanes, so a batch of runs (seeds x sizes of a
   sweep point) executes as one fused matvec per round.
@@ -38,10 +34,10 @@ reaching all ``n`` nodes is exactly connectivity, with no transpose.
 Stacking concatenates the parts' arrays with node and nnz offsets,
 which is the block-diagonal matrix itself, already canonical.
 
-Both caches are *bounded* (LRU): a fresh-graph-per-round workload used
-to retain one lowered graph + CSR matrix per executed round for the
-cache's lifetime; evictions are observable through the
-``adjacency.cache_evictions`` / ``adjacency.stack_evictions`` counters.
+Every cache built on :class:`LRUCache` is *bounded*: a
+fresh-graph-per-round workload holds O(1) adjacencies, and evictions
+are observable through the ``adjacency.cache_evictions`` /
+``adjacency.stack_evictions`` counters.
 
 Index dtype policy: every adjacency built here routes its CSR index
 arrays through :func:`index_dtype_for` -- ``int32`` while every index
@@ -66,7 +62,6 @@ from repro.simulation.errors import TopologyError, sorted_labels
 
 __all__ = [
     "CSRAdjacency",
-    "AdjacencyCache",
     "StackCache",
     "LRUCache",
     "csr_from_edges",
@@ -76,11 +71,6 @@ __all__ = [
     "stack_adjacencies",
     "validate_edge_arrays",
 ]
-
-#: Default LRU capacity of :class:`AdjacencyCache`.  Large enough that
-#: every realistic batch of held/cycled topologies stays fully cached,
-#: small enough that a fresh-graph-per-round run holds O(1) memory.
-DEFAULT_ADJACENCY_CACHE_SIZE = 128
 
 #: Default LRU capacity of :class:`StackCache`.  Lane combinations
 #: change at most once per round, so a handful of entries suffice.
@@ -299,11 +289,10 @@ def graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> nx.Graph:
 class LRUCache:
     """A small bounded mapping with LRU eviction and an eviction counter.
 
-    The shared bounding mechanism of :class:`AdjacencyCache`,
-    :class:`StackCache`, and the per-round caches of
-    :class:`repro.networks.csr_native.CSRDynamicGraph`.  Every eviction
-    increments ``evict_metric`` so unbounded-growth regressions are
-    observable in any metrics snapshot.
+    The shared bounding mechanism of :class:`StackCache` and the
+    per-round caches of :class:`repro.networks.csr_native.DynamicGraph`.
+    Every eviction increments ``evict_metric`` so unbounded-growth
+    regressions are observable in any metrics snapshot.
     """
 
     def __init__(self, maxsize: int, evict_metric: str) -> None:
@@ -331,49 +320,6 @@ class LRUCache:
 
     def clear(self) -> None:
         self._data.clear()
-
-
-class AdjacencyCache:
-    """Memoize :func:`lower_graph` per graph *object*, LRU-bounded.
-
-    Keys are object identities; each live entry holds a strong reference
-    to its lowered graph, so an id can never be reused while its entry
-    is still in the cache (the id-stability contract).  Once an entry is
-    *evicted* its graph may be collected and its id reused -- which is
-    safe: the entry is gone, so a reused id is a plain miss and the new
-    graph is lowered afresh (the ``cached[0] is graph`` guard keeps
-    same-slot overwrites honest).
-
-    A provider that serves the same cached graph for many rounds
-    (``extend="hold"``, ``"cycle"``, any static topology) pays for
-    validation and lowering exactly once; a fresh-graph-per-round run
-    now holds at most ``maxsize`` lowered rounds instead of all of them
-    (evictions are counted in ``adjacency.cache_evictions``).
-
-    Mutating a graph after it has been lowered is unsupported (the
-    memoized adjacency would go stale) -- the same contract the object
-    engine's per-round validation memo has.
-    """
-
-    def __init__(self, maxsize: int = DEFAULT_ADJACENCY_CACHE_SIZE) -> None:
-        self._lru = LRUCache(maxsize, "adjacency.cache_evictions")
-
-    def __len__(self) -> int:
-        return len(self._lru)
-
-    def clear(self) -> None:
-        """Drop every entry (per-run scoping for long-lived caches)."""
-        self._lru.clear()
-
-    def lower(self, graph: nx.Graph, *, n: int | None = None) -> CSRAdjacency:
-        """The memoized CSR adjacency of ``graph``."""
-        cached = self._lru.get(id(graph))
-        if cached is not None and cached[0] is graph:
-            counter("adjacency.cache_hits")
-            return cached[1]
-        adjacency = lower_graph(graph, n=n)
-        self._lru.put(id(graph), (graph, adjacency))
-        return adjacency
 
 
 def stack_adjacencies(parts: Sequence[CSRAdjacency]) -> CSRAdjacency:

@@ -1,16 +1,10 @@
-"""CSR-native dynamic topologies: edge arrays first, objects at the edges.
+"""The :class:`DynamicGraph` abstraction (Definition 1 of the paper).
 
-The fast backend used to pay a networkx -> CSR *lowering tax* on every
-round of a dynamic workload: generators built an ``nx.Graph`` per round
-and :func:`repro.networks.csr.lower_graph` immediately tore it apart
-again.  On fresh-graph-per-round workloads that tax ate the entire
-vectorized-engine win (``BENCH_engine.json`` showed ~0.5-1.0x where
-static graphs reach 5-50x).
-
-This module inverts the representation, following the matrix-first
-design of connectivity models in network simulators: a dynamic topology
-is a function ``round -> (u, v)`` *edge index arrays*, and both views
-are derived from those arrays --
+A dynamic graph is an infinite sequence ``G = {G_0, G_1, ...}`` of graphs
+over a fixed node set ``V = {0, ..., n-1}``.  Here that sequence is a
+pure function ``round -> (u, v)`` *edge index arrays*, following the
+matrix-first design of connectivity models in network simulators, and
+both views the engines consume are derived from those arrays --
 
 * the CSR adjacency (:func:`repro.networks.csr.csr_from_edges`) feeds
   the fast backend directly, no ``nx.Graph`` per round;
@@ -24,22 +18,24 @@ oracle (CSR-native lowering == networkx adjacency, every family).
 
 Pieces:
 
-* :class:`CSRDynamicGraph` -- a :class:`~repro.networks.DynamicGraph`
-  built from an edge provider; ``to_csr`` never touches networkx, and
-  its per-round caches are LRU-bounded so fresh-graph-per-round runs
-  hold O(1) adjacency memory.
+* :class:`DynamicGraph` -- a dynamic graph built from an edge provider;
+  ``to_csr`` never touches networkx, and its per-round caches are
+  LRU-bounded so fresh-graph-per-round runs hold O(1) memory.
+* :meth:`DynamicGraph.from_graphs` -- an explicit finite prefix of
+  ``networkx`` graphs with a ``hold``/``cycle``/``strict`` extension.
 * :func:`precompile_schedule` -- lower a finite schedule prefix (e.g. a
   worst-case adversary instance) once into stacked per-round index
   arrays; every subsequent ``to_csr`` is an O(1) lookup.
 
 Edge providers must be *pure per round* (the same round always yields
-the same edges), the convention every built-in family already follows;
-purity is what makes bounded caching safe -- an evicted round can
-simply be recomputed.
+the same edges), the convention every built-in family follows; purity
+is what makes bounded caching safe -- an evicted round can simply be
+recomputed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Callable
 
 import networkx as nx
@@ -53,12 +49,11 @@ from repro.networks.csr import (
     index_dtype_for,
     validate_edge_arrays,
 )
-from repro.networks.dynamic_graph import DynamicGraph
 from repro.obs.metrics import counter
-from repro.simulation.errors import TopologyError
+from repro.simulation.errors import ModelError, TopologyError, sorted_labels
 
 __all__ = [
-    "CSRDynamicGraph",
+    "DynamicGraph",
     "EdgeArrays",
     "EdgeProvider",
     "precompile_schedule",
@@ -76,11 +71,13 @@ EdgeProvider = Callable[[int], tuple[np.ndarray, np.ndarray]]
 #: does; the slack keeps short hold/cycle prefixes fully resident.
 DEFAULT_ROUND_CACHE_SIZE = 64
 
+_EXTEND_RULES = ("hold", "cycle", "strict")
 
-class CSRDynamicGraph(DynamicGraph):
-    """A dynamic graph whose source of truth is per-round edge arrays.
 
-    Drop-in :class:`~repro.networks.DynamicGraph`: the object engine
+class DynamicGraph:
+    """An infinite sequence of graphs over the node set ``{0..n-1}``.
+
+    Directly usable as an engine topology provider: the object engine
     uses the ``graph``/``at`` view (networkx graphs built lazily from
     the arrays), the fast backend uses ``to_csr`` (validated CSR built
     directly from the arrays, no ``nx.Graph`` on the hot path).
@@ -92,13 +89,15 @@ class CSRDynamicGraph(DynamicGraph):
             exactly ``{0..n-1}``.
         name: Human-readable description (used in reports).
         round_key: Optional canonicalisation of round numbers before the
-            provider and the caches see them -- ``hold``/``cycle``
-            extension rules compress an infinite round axis onto a
-            finite prefix, so repeated rounds share one cache entry
-            (and, for the object view, one graph object, which keeps the
-            engines' per-object validation memos effective).
-        cache_rounds: LRU capacity of the per-round edge and CSR caches
-            (evictions are counted in ``adjacency.cache_evictions``).
+            provider and the caches see them -- static topologies and
+            ``hold``/``cycle`` extension rules compress an infinite
+            round axis onto a finite prefix, so repeated rounds share
+            one cache entry (and, for the object view, one graph object,
+            which keeps the engines' per-object validation memos
+            effective).
+        cache_rounds: LRU capacity of the per-round edge, CSR and graph
+            caches (evictions are counted in
+            ``adjacency.cache_evictions``).
     """
 
     def __init__(
@@ -106,18 +105,65 @@ class CSRDynamicGraph(DynamicGraph):
         n: int,
         edge_provider: EdgeProvider,
         *,
-        name: str = "csr-dynamic-graph",
+        name: str = "dynamic-graph",
         round_key: Callable[[int], int] | None = None,
         cache_rounds: int = DEFAULT_ROUND_CACHE_SIZE,
     ) -> None:
-        super().__init__(
-            n, self._nx_provider, name=name, copy_on_cache=False
-        )
+        if n < 1:
+            raise ValueError("a dynamic graph needs at least one node")
+        self.n = n
+        self.name = name
         self._edge_provider = edge_provider
         self._round_key = round_key
         self._edge_lru = LRUCache(cache_rounds, "adjacency.cache_evictions")
         self._csr_lru = LRUCache(cache_rounds, "adjacency.cache_evictions")
         self._nx_lru = LRUCache(cache_rounds, "adjacency.cache_evictions")
+
+    @classmethod
+    def from_graphs(
+        cls,
+        graphs: Sequence[nx.Graph],
+        *,
+        extend: str = "hold",
+        name: str = "explicit-dynamic-graph",
+    ) -> "DynamicGraph":
+        """Build a dynamic graph from an explicit finite prefix.
+
+        Only each graph's edge set is kept (edge attributes are
+        dropped); later mutation of the passed graphs has no effect.
+
+        Args:
+            graphs: The graphs of rounds ``0..len(graphs)-1``.  Every
+                graph must span exactly ``{0..n-1}`` for one shared
+                ``n``; anything else raises :class:`ModelError` here,
+                eagerly.
+            extend: What happens after the prefix -- ``"hold"`` repeats
+                the last graph forever, ``"cycle"`` loops back to round
+                0, ``"strict"`` raises :class:`TopologyError` if a round
+                past the prefix is requested.
+        """
+        if not graphs:
+            raise ModelError("need at least one graph")
+        node_sets = {frozenset(graph.nodes) for graph in graphs}
+        if len(node_sets) != 1:
+            raise ModelError(
+                "all graphs of a dynamic graph must share one node set "
+                "(the process set V is static); got "
+                f"{len(node_sets)} distinct node sets"
+            )
+        nodes = node_sets.pop()
+        expected = frozenset(range(len(nodes)))
+        if nodes != expected:
+            raise ModelError(
+                f"graph nodes must be exactly {{0..{len(nodes) - 1}}}; "
+                f"unexpected labels {sorted_labels(nodes - expected)}, "
+                f"missing {sorted(expected - nodes)}"
+            )
+        per_round = []
+        for graph in graphs:
+            pairs = np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2)
+            per_round.append((pairs[:, 0], pairs[:, 1]))
+        return _prefix_graph(len(nodes), per_round, extend=extend, name=name)
 
     def cache_sizes(self) -> dict[str, int]:
         """Resident entries per internal cache (diagnostics, leak tests)."""
@@ -170,81 +216,60 @@ class CSRDynamicGraph(DynamicGraph):
 
     # -- the networkx view (object engine, oracles) -------------------
 
-    def _nx_provider(self, round_no: int) -> nx.Graph:
-        u, v = self.edges(round_no)
-        return graph_from_edges(self.n, u, v)
-
     def at(self, round_no: int) -> nx.Graph:
         """The round's graph as ``networkx`` (cached per canonical round).
 
-        Rounds that canonicalise to the same key (``hold``/``cycle``
-        extensions) share one graph *object* while resident, so the
-        engines' identity-keyed validation memos fire exactly as they do
-        for :meth:`DynamicGraph.from_graphs` prefixes.  Unlike the base
-        class, the cache is LRU-bounded: the edge provider is pure per
-        round, so an evicted round rebuilds bit-identically and long
-        fresh-graph-per-round runs hold O(1) graph memory on the object
-        path too.
+        Rounds that canonicalise to the same key (static topologies,
+        ``hold``/``cycle`` extensions) share one graph *object* while
+        resident, so the engines' identity-keyed validation memos fire
+        once per distinct graph.  The cache is LRU-bounded: the edge
+        provider is pure per round, so an evicted round rebuilds
+        bit-identically and long fresh-graph-per-round runs hold O(1)
+        graph memory on the object path too.  Treat the returned graph
+        as read-only.
         """
         key = self._key(round_no)
         cached = self._nx_lru.get(key)
         if cached is None:
-            cached = self._nx_provider(round_no)
+            cached = graph_from_edges(self.n, *self.edges(round_no))
             self._nx_lru.put(key, cached)
         return cached
 
+    def graph(self, round_no: int, processes: object = None) -> nx.Graph:
+        """Topology-provider interface for the simulation engine."""
+        return self.at(round_no)
 
-def precompile_schedule(
-    source: DynamicGraph,
-    rounds: int,
+    def window(self, rounds: int) -> list[nx.Graph]:
+        """Return the graphs of rounds ``0..rounds-1``."""
+        return [self.at(round_no) for round_no in range(rounds)]
+
+    def __repr__(self) -> str:
+        return f"DynamicGraph(n={self.n}, name={self.name!r})"
+
+
+#: The pre-merge name of :class:`DynamicGraph`, kept for the benchmark
+#: harness, which imports and instruments it by this name.
+CSRDynamicGraph = DynamicGraph
+
+
+def _prefix_graph(
+    n: int,
+    per_round: Sequence[EdgeArrays],
     *,
-    extend: str = "hold",
-    name: str | None = None,
-) -> CSRDynamicGraph:
-    """Precompile a schedule prefix into stacked per-round index arrays.
+    extend: str,
+    name: str,
+) -> DynamicGraph:
+    """A dynamic graph serving a finite prefix of per-round edge arrays.
 
-    For schedule-driven instances -- above all the worst-case adversary,
-    whose entire point is a fixed finite schedule realising the
-    ``Omega(log n)`` bound -- the prefix is lowered *once*, eagerly, into
-    one pair of stacked ``(u, v)`` arrays plus per-round offsets; every
-    later ``to_csr`` call is an O(1) lookup, every later ``at`` call
-    reuses one graph object per prefix round.
-
-    Args:
-        source: The dynamic graph to compile.  Its first ``rounds``
-            rounds are read through ``edges()`` when available (CSR
-            native sources) and through ``at()`` otherwise.
-        rounds: Prefix length to compile (must be >= 1).
-        extend: What happens past the prefix: ``"hold"`` repeats the
-            last compiled round, ``"cycle"`` wraps to round 0,
-            ``"strict"`` raises :class:`TopologyError`.
-        name: Optional description; defaults to the source's name with
-            a ``:precompiled`` suffix.
-
-    Returns:
-        A :class:`CSRDynamicGraph` over the same node set, serving the
-        compiled prefix under the chosen extension rule.
+    The prefix is held as one pair of stacked ``(u, v)`` arrays sliced
+    per round, in the policy index dtype (int32 until ``n`` reaches
+    2**31, with offsets sized to the *total* stacked edge count).
+    Rounds past the prefix follow ``extend``; the caches hold the whole
+    prefix, so held and cycled rounds share one entry per prefix round.
     """
-    if rounds < 1:
-        raise ValueError("need at least one round to precompile")
-    if extend not in ("hold", "cycle", "strict"):
-        raise ValueError("extend must be one of ('hold', 'cycle', 'strict')")
-    n = source.n
-    per_round: list[tuple[np.ndarray, np.ndarray]] = []
-    native_edges = getattr(source, "edges", None)
-    for round_no in range(rounds):
-        if native_edges is not None:
-            u, v = native_edges(round_no)
-        else:
-            pairs = np.array(
-                source.at(round_no).edges, dtype=np.int64
-            ).reshape(-1, 2)
-            u, v = pairs[:, 0], pairs[:, 1]
-        per_round.append(validate_edge_arrays(n, u, v))
-
-    # One stacked edge store: contiguous (u, v) arrays sliced per round,
-    # held in the policy index dtype (int32 until n reaches 2**31, with
-    # offsets sized to the *total* stacked edge count).
+    if extend not in _EXTEND_RULES:
+        raise ValueError(f"extend must be one of {_EXTEND_RULES}")
+    rounds = len(per_round)
     offsets = np.concatenate(
         ([0], np.cumsum([u.size for u, _ in per_round]))
     )
@@ -274,19 +299,59 @@ def precompile_schedule(
             return round_no % rounds
         raise TopologyError(
             f"round {round_no} requested but only rounds 0..{rounds - 1} "
-            "are precompiled (extend='strict')"
+            f"of {name} are defined (extend='strict')"
         )
 
     def provider(key: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = int(offsets[key]), int(offsets[key + 1])
         return u_all[lo:hi], v_all[lo:hi]
 
-    compiled = CSRDynamicGraph(
+    return DynamicGraph(
         n,
         provider,
-        name=name if name is not None else f"{source.name}:precompiled",
+        name=name,
         round_key=round_key,
         cache_rounds=max(rounds, DEFAULT_ROUND_CACHE_SIZE),
+    )
+
+
+def precompile_schedule(
+    source: DynamicGraph,
+    rounds: int,
+    *,
+    extend: str = "hold",
+    name: str | None = None,
+) -> DynamicGraph:
+    """Precompile a schedule prefix into stacked per-round index arrays.
+
+    For schedule-driven instances -- above all the worst-case adversary,
+    whose entire point is a fixed finite schedule realising the
+    ``Omega(log n)`` bound -- the prefix is lowered *once*, eagerly, into
+    one pair of stacked ``(u, v)`` arrays plus per-round offsets; every
+    later ``to_csr`` call is an O(1) lookup, every later ``at`` call
+    reuses one graph object per prefix round.
+
+    Args:
+        source: The dynamic graph to compile; its first ``rounds``
+            rounds are read through ``edges()``.
+        rounds: Prefix length to compile (must be >= 1).
+        extend: What happens past the prefix: ``"hold"`` repeats the
+            last compiled round, ``"cycle"`` wraps to round 0,
+            ``"strict"`` raises :class:`TopologyError`.
+        name: Optional description; defaults to the source's name with
+            a ``:precompiled`` suffix.
+
+    Returns:
+        A :class:`DynamicGraph` over the same node set, serving the
+        compiled prefix under the chosen extension rule.
+    """
+    if rounds < 1:
+        raise ValueError("need at least one round to precompile")
+    compiled = _prefix_graph(
+        source.n,
+        [source.edges(round_no) for round_no in range(rounds)],
+        extend=extend,
+        name=name if name is not None else f"{source.name}:precompiled",
     )
     # Eager lowering: the whole prefix is validated and CSR-built here,
     # so the simulation loop never pays construction or validation.

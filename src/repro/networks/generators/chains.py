@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
+import numpy as np
 
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.networks.multigraph import DynamicMultigraph
 from repro.simulation.errors import ModelError
 
@@ -97,14 +97,14 @@ def chain_pd2_network(
     static_edges.append((anchor, hubs[0]))
     static_edges.append((anchor, hubs[1]))
 
-    def provider(round_no: int) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(range(layout.n))
-        graph.add_edges_from(static_edges)
-        for w, node in enumerate(outer):
-            for label in multigraph.labels(w, round_no):
-                graph.add_edge(layout.hub_for_label(label), node)
-        return graph
+    def provider(round_no: int) -> tuple[np.ndarray, np.ndarray]:
+        edges = static_edges + [
+            (layout.hub_for_label(label), node)
+            for w, node in enumerate(outer)
+            for label in sorted(multigraph.labels(w, round_no))
+        ]
+        pairs = np.array(edges, dtype=np.int64)
+        return pairs[:, 0], pairs[:, 1]
 
     label = (
         name

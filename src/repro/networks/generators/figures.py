@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.networks.multigraph import DynamicMultigraph
 from repro.networks.transform import PD2Layout, mdbl_to_pd2
 

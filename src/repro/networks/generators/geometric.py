@@ -8,19 +8,19 @@ within the connection radius, and connectivity is repaired with the
 minimum number of shortcut edges (nearest components first) so the
 model's 1-interval connectivity holds.
 
-Positions evolve sequentially (lazy and cached like
-:class:`repro.networks.generators.markov.EdgeMarkovDynamicGraph`), so a
-seed pins an entire trajectory.  Round graphs are rebuilt from the
-positions on demand and never retained: caching them is the
-:class:`~repro.networks.dynamic_graph.DynamicGraph`'s job.
+Positions evolve sequentially from a per-round seed, so a seed pins an
+entire trajectory.  The walk keeps only its latest positions; round
+edge arrays are derived from them on demand and cached (LRU-bounded)
+by the :class:`~repro.networks.DynamicGraph` that wraps the walk.
 """
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 
 __all__ = ["RandomWaypointDynamicGraph", "random_waypoint_network"]
 
@@ -44,58 +44,84 @@ class RandomWaypointDynamicGraph:
         self.radius = radius
         self.step = step
         self.seed = seed
-        self._positions: list[np.ndarray] = []
+        self._round = -1
+        self._current: np.ndarray | None = None
 
     def positions(self, round_no: int) -> np.ndarray:
-        """Node positions at a round (n x 2 array, lazily advanced)."""
-        while len(self._positions) <= round_no:
+        """Node positions at a round (n x 2 array).
+
+        Walks forward from the latest computed round; a request for an
+        earlier round replays the walk from round 0, so memory stays
+        O(n) however long the run.
+        """
+        if round_no < self._round:
+            self._round, self._current = -1, None
+        while self._round < round_no:
             self._advance()
-        return self._positions[round_no]
+        return self._current
 
     def _advance(self) -> None:
-        round_no = len(self._positions)
-        rng = np.random.default_rng([self.seed, round_no])
-        if round_no == 0:
-            current = rng.random((self.n, 2))
-        else:
-            angles = rng.random(self.n) * 2 * np.pi
-            lengths = rng.random(self.n) * self.step
-            delta = np.stack(
-                [np.cos(angles) * lengths, np.sin(angles) * lengths], axis=1
-            )
-            current = np.clip(self._positions[-1] + delta, 0.0, 1.0)
-        self._positions.append(current)
+        self._round += 1
+        rng = np.random.default_rng([self.seed, self._round])
+        if self._round == 0:
+            self._current = rng.random((self.n, 2))
+            return
+        angles = rng.random(self.n) * 2 * np.pi
+        lengths = rng.random(self.n) * self.step
+        delta = np.stack(
+            [np.cos(angles) * lengths, np.sin(angles) * lengths], axis=1
+        )
+        self._current = np.clip(self._current + delta, 0.0, 1.0)
 
-    def at(self, round_no: int) -> nx.Graph:
-        """A freshly built graph of round ``round_no`` (not retained)."""
+    def edges(self, round_no: int) -> tuple[np.ndarray, np.ndarray]:
+        """The round's ``(u, v)`` edge arrays: disc edges plus repairs.
+
+        Disc edges come in ``(u, v)``, ``u < v`` lexicographic order.
+        Components are then joined one at a time along the closest pair
+        between the component of node 0 and any other node (ties go to
+        the other component with the smallest node, then the smallest
+        ``u``, then ``v``).  Each repair edge follows the disc edges of
+        its smaller endpoint, so the ``networkx`` view lists every
+        node's smaller neighbours first, in ascending order.
+        """
         points = self.positions(round_no)
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.n))
         deltas = points[:, None, :] - points[None, :, :]
         distances = np.sqrt((deltas**2).sum(axis=2))
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if distances[u, v] <= self.radius:
-                    graph.add_edge(u, v)
-        self._repair(graph, distances)
-        return graph
+        u, v = np.triu_indices(self.n, 1)
+        near = distances[u, v] <= self.radius
+        u, v = u[near], v[near]
+        extra_u, extra_v = self._repair(self.n, u, v, distances)
+        by_row = np.argsort(extra_u, kind="stable")
+        extra_u, extra_v = extra_u[by_row], extra_v[by_row]
+        at = np.searchsorted(u, extra_u, side="right")
+        return np.insert(u, at, extra_u), np.insert(v, at, extra_v)
 
     @staticmethod
-    def _repair(graph: nx.Graph, distances: np.ndarray) -> None:
-        """Join components along their closest node pairs."""
-        while True:
-            components = [sorted(c) for c in nx.connected_components(graph)]
-            if len(components) == 1:
-                return
-            base = components[0]
-            best = None
-            for other in components[1:]:
-                for u in base:
-                    for v in other:
-                        candidate = distances[u, v]
-                        if best is None or candidate < best[0]:
-                            best = (candidate, u, v)
-            graph.add_edge(best[1], best[2])
+    def _repair(
+        n: int, u: np.ndarray, v: np.ndarray, distances: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Shortcut edges joining the components along their closest
+        pairs, in insertion order, each as ``(smaller, larger)``."""
+        adjacency = coo_array((np.ones(u.size), (u, v)), shape=(n, n))
+        count, labels = connected_components(adjacency, directed=False)
+        nodes = np.arange(n)
+        first = np.full(count, n)
+        np.minimum.at(first, labels, nodes)
+        rank = first[labels]
+        shortcuts = []
+        while count > 1:
+            base = labels == labels[0]
+            inside, outside = nodes[base], nodes[~base]
+            gaps = distances[np.ix_(inside, outside)]
+            rows, cols = np.nonzero(gaps == gaps.min())
+            a, b = inside[rows], outside[cols]
+            pick = np.lexsort((b, a, rank[b]))[0]
+            a, b = int(a[pick]), int(b[pick])
+            labels[labels == labels[b]] = labels[0]
+            count -= 1
+            shortcuts.append((min(a, b), max(a, b)))
+        pairs = np.array(shortcuts, dtype=np.int64).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1]
 
 
 def random_waypoint_network(
@@ -110,5 +136,5 @@ def random_waypoint_network(
         n, radius=radius, step=step, seed=seed
     )
     return DynamicGraph(
-        n, walk.at, name=f"waypoint(n={n}, r={radius}, seed={seed})"
+        n, walk.edges, name=f"waypoint(n={n}, r={radius}, seed={seed})"
     )

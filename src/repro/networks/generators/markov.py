@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from repro.networks.csr import graph_from_edges
-from repro.networks.csr_native import CSRDynamicGraph
+from repro.networks.csr_native import DynamicGraph
 
 __all__ = ["EdgeMarkovDynamicGraph", "edge_markov_network"]
 
@@ -138,11 +138,11 @@ def edge_markov_network(
     p_down: float = 0.3,
     initial_p: float = 0.2,
     seed: int = 0,
-) -> CSRDynamicGraph:
+) -> DynamicGraph:
     """An edge-Markov dynamic graph as a CSR-native :class:`DynamicGraph`."""
     chain = EdgeMarkovDynamicGraph(
         n, p_up=p_up, p_down=p_down, initial_p=initial_p, seed=seed
     )
-    return CSRDynamicGraph(
+    return DynamicGraph(
         n, chain.edges, name=f"edge-markov(n={n}, seed={seed})"
     )

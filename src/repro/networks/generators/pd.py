@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.networks.csr_native import CSRDynamicGraph
+from repro.networks.csr_native import DynamicGraph
 
 __all__ = ["random_pd_network"]
 
@@ -34,7 +34,7 @@ def random_pd_network(
     extra_edge_p: float = 0.2,
     intra_layer_p: float = 0.0,
     name: str | None = None,
-) -> tuple[CSRDynamicGraph, list[list[int]]]:
+) -> tuple[DynamicGraph, list[list[int]]]:
     """Generate a random ``G(PD)_h`` dynamic graph (CSR-native).
 
     Args:
@@ -118,4 +118,4 @@ def random_pd_network(
         return np.concatenate(parts_u), np.concatenate(parts_v)
 
     label = name if name is not None else f"pd{len(layer_sizes)}({layer_sizes})"
-    return CSRDynamicGraph(n, provider, name=label), layers
+    return DynamicGraph(n, provider, name=label), layers

@@ -21,7 +21,7 @@ import networkx as nx
 import numpy as np
 
 from repro.networks.csr import CSRAdjacency, graph_from_edges
-from repro.networks.csr_native import CSRDynamicGraph
+from repro.networks.csr_native import DynamicGraph
 
 __all__ = [
     "RandomConnectedAdversary",
@@ -138,7 +138,7 @@ class RandomConnectedAdversary:
         self.n = n
         self.seed = seed
         self.extra_edge_p = extra_edge_p
-        self._native: CSRDynamicGraph | None = None
+        self._native: DynamicGraph | None = None
 
     def edges(self, round_no: int) -> tuple[np.ndarray, np.ndarray]:
         """The round's edge arrays (pure function of ``(seed, round)``)."""
@@ -155,7 +155,7 @@ class RandomConnectedAdversary:
         """CSR-native provider interface for the fast backend."""
         return self.as_dynamic_graph().to_csr(round_no)
 
-    def as_dynamic_graph(self) -> CSRDynamicGraph:
+    def as_dynamic_graph(self) -> DynamicGraph:
         """This adversary as a cached CSR-native dynamic graph.
 
         Repeated calls return one shared instance so the bounded
@@ -163,7 +163,7 @@ class RandomConnectedAdversary:
         adversary object.
         """
         if self._native is None:
-            self._native = CSRDynamicGraph(
+            self._native = DynamicGraph(
                 self.n,
                 self.edges,
                 name=f"random-connected(n={self.n}, seed={self.seed})",

@@ -10,9 +10,9 @@ the paper's baseline observation before moving to ``G(PD)_2``.
 
 from __future__ import annotations
 
-import networkx as nx
+import numpy as np
 
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 
 __all__ = ["star_network"]
 
@@ -25,13 +25,19 @@ def star_network(n: int, *, leader: int = 0) -> DynamicGraph:
         leader: Index of the centre node.
 
     Returns:
-        A :class:`DynamicGraph` that is the same star at every round.
+        A :class:`DynamicGraph` that is the same star at every round;
+        every round maps to one cache entry, so the star is validated,
+        lowered and built as a graph object once.
     """
     if n < 2:
         raise ValueError("a star needs at least 2 nodes")
     if not 0 <= leader < n:
         raise ValueError(f"leader index {leader} out of range for n={n}")
-    star = nx.Graph()
-    star.add_nodes_from(range(n))
-    star.add_edges_from((leader, node) for node in range(n) if node != leader)
-    return DynamicGraph(n, lambda round_no: star, name=f"star({n})")
+    spokes = np.delete(np.arange(n), leader)
+    hubs = np.full(spokes.size, leader)
+    return DynamicGraph(
+        n,
+        lambda _key: (hubs, spokes),
+        name=f"star({n})",
+        round_key=lambda _round_no: 0,
+    )

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.networks.csr import LRUCache
-from repro.networks.csr_native import CSRDynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.networks.generators.random_dynamic import (
     bernoulli_pair_edges,
     random_tree_edges,
@@ -43,7 +43,7 @@ def t_interval_network(
     *,
     extra_edge_p: float = 0.15,
     seed: int = 0,
-) -> CSRDynamicGraph:
+) -> DynamicGraph:
     """A ``T``-interval connected dynamic graph (CSR-native).
 
     Args:
@@ -90,6 +90,6 @@ def t_interval_network(
             np.concatenate([v for _, v in parts]),
         )
 
-    return CSRDynamicGraph(
+    return DynamicGraph(
         n, provider, name=f"{t}-interval(n={n}, seed={seed})"
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import networkx as nx
 
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.networks.multigraph import DynamicMultigraph
 
 __all__ = [

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
+import numpy as np
 
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.networks.multigraph import DynamicMultigraph
 
 __all__ = ["PD2Layout", "mdbl_to_pd2"]
@@ -84,16 +84,19 @@ def mdbl_to_pd2(
         outer=tuple(range(k + 1, k + 1 + multigraph.n)),
     )
 
-    def provider(round_no: int) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(range(layout.n))
-        graph.add_edges_from(
-            (layout.leader, middle) for middle in layout.middle
+    spine = [(layout.leader, middle) for middle in layout.middle]
+
+    def provider(round_no: int) -> tuple[np.ndarray, np.ndarray]:
+        pairs = np.array(
+            spine
+            + [
+                (layout.middle_for_label(label), outer)
+                for w, outer in enumerate(layout.outer)
+                for label in sorted(multigraph.labels(w, round_no))
+            ],
+            dtype=np.int64,
         )
-        for w, outer in enumerate(layout.outer):
-            for label in multigraph.labels(w, round_no):
-                graph.add_edge(layout.middle_for_label(label), outer)
-        return graph
+        return pairs[:, 0], pairs[:, 1]
 
     graph_name = name if name is not None else f"pd2({multigraph.name})"
     return DynamicGraph(layout.n, provider, name=graph_name), layout

@@ -6,17 +6,14 @@ fidelity, but the interpreter loop dominates wall-clock time on large
 sweeps.  This module provides the *fast backend*: a second execution
 path that compiles a round into array operations.
 
-* Topologies are lowered once to CSR adjacency
-  (:mod:`repro.networks.csr`), with the model checks (node set,
-  self-loops, connectivity) memoized per graph object instead of
-  recomputed every round.  CSR-native topologies
-  (:class:`~repro.networks.CSRDynamicGraph` and anything exposing
-  ``to_csr(round_no)``) skip the networkx lowering entirely: the lane
-  adjacency comes straight from per-round edge arrays.  The per-lane
-  adjacency caches and the lane-stack cache are LRU-bounded
+* Every lane topology exposes ``to_csr(round_no)`` (a
+  :class:`~repro.networks.DynamicGraph` or an adversary with the same
+  method): the lane adjacency comes straight from per-round edge arrays
+  as validated CSR (:mod:`repro.networks.csr`), memoized per canonical
+  round by the topology itself.  The topology's round caches and the
+  engine's lane-stack cache are LRU-bounded
   (``adjacency.cache_evictions`` / ``adjacency.stack_evictions``), so
-  fresh-graph-per-round workloads hold O(1) adjacency memory instead of
-  leaking one lowered graph per round.
+  fresh-graph-per-round workloads hold O(1) adjacency memory.
 * Protocols whose per-round receive phase is an aggregation over the
   multiset of received values implement :class:`VectorizedProtocol`:
   state lives in NumPy arrays over a flat node axis and one ``step``
@@ -62,12 +59,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.networks.csr import (
-    AdjacencyCache,
-    CSRAdjacency,
-    StackCache,
-    index_dtype_for,
-)
+from repro.networks.csr import CSRAdjacency, StackCache, index_dtype_for
 from repro.obs import telemetry as telemetry_mod
 from repro.obs.logger import get_logger
 from repro.obs.metrics import counter
@@ -170,11 +162,12 @@ class FastLane:
     """One independent run inside a batched fast execution.
 
     Attributes:
-        topology: The lane's adversary -- anything the object engine
-            accepts: a :class:`~repro.networks.DynamicGraph` (its
-            ``to_csr`` memoization is used directly), an object with a
-            ``graph(round_no, processes)`` method, or a plain
-            ``f(round_no) -> nx.Graph`` callable.
+        topology: The lane's adversary: anything with a
+            ``to_csr(round_no)`` method returning the round's
+            :class:`~repro.networks.csr.CSRAdjacency` -- a
+            :class:`~repro.networks.DynamicGraph` or a CSR-native
+            adversary such as
+            :class:`~repro.networks.generators.RandomConnectedAdversary`.
         n: Number of nodes of this lane.
         leader: Leader index within the lane (``None`` for leaderless
             protocols), mirroring the object engine's argument.
@@ -333,8 +326,8 @@ _TELEMETRY_KEYS = (
 class _LaneBlock:
     """One contiguous chunk of lanes, executed to completion.
 
-    Owns the chunk-local layouts (rebased to offset 0), adjacency
-    caches, and the matvec loop.  The monolithic run is the one-block
+    Owns the chunk-local layouts (rebased to offset 0), the lane-stack
+    cache, and the matvec loop.  The monolithic run is the one-block
     special case, so chunked and single-stack executions share every
     line of the hot loop.
     """
@@ -359,24 +352,13 @@ class _LaneBlock:
             offset = int(self._offsets[index])
             leader = None if lane.leader is None else offset + lane.leader
             self.layouts.append(LaneLayout(index, offset, lane.n, leader))
-        self._caches = [AdjacencyCache() for _ in self.lanes]
         self._stack = StackCache()
 
     # -- adjacency ----------------------------------------------------
 
     def _lane_adjacency(self, lane_index: int, round_no: int) -> CSRAdjacency:
         lane = self.lanes[lane_index]
-        to_csr = getattr(lane.topology, "to_csr", None)
-        if to_csr is not None:
-            adjacency = to_csr(round_no)
-        else:
-            graph_of = getattr(lane.topology, "graph", None)
-            graph = (
-                graph_of(round_no, None)
-                if graph_of is not None
-                else lane.topology(round_no)
-            )
-            adjacency = self._caches[lane_index].lower(graph, n=lane.n)
+        adjacency = lane.topology.to_csr(round_no)
         if adjacency.n != lane.n:
             raise TopologyError(
                 f"round {round_no}: lane {lane_index} produced {adjacency.n} "
@@ -606,25 +588,6 @@ class FastEngine:
                 raise ValueError("stop_when='leader' requires a leader index")
             sizes.append(lane.n)
         self.total_nodes = int(sum(sizes))
-        # Engine-wide dtype policy (chunk-local loops re-derive their
-        # own, smaller dtypes from the chunk totals).
-        self._index_dtype = index_dtype_for(self.total_nodes)
-        self._acc_dtype = index_dtype_for(self.total_nodes**2)
-        offsets = np.concatenate(([0], np.cumsum(sizes))).astype(
-            self._index_dtype
-        )
-        self._offsets = offsets
-        self.layouts = [
-            LaneLayout(
-                index,
-                int(offsets[index]),
-                lane.n,
-                None
-                if lane.leader is None
-                else int(offsets[index]) + lane.leader,
-            )
-            for index, lane in enumerate(self.lanes)
-        ]
         if max_lane_nodes is None:
             max_lane_nodes = active_lane_budget()
         if max_lane_nodes is not None:

@@ -146,12 +146,9 @@ def _check_native_csr(
 ) -> list[str]:
     """``network.to_csr`` must equal the round's networkx view.
 
-    For CSR-native families (:class:`~repro.networks.CSRDynamicGraph`)
-    the CSR adjacency is built straight from the edge arrays while the
+    The CSR adjacency is built straight from the edge arrays while the
     graph handed in came through ``at()`` -- two independent lowerings
-    of the same arrays; for plain providers ``to_csr`` goes through
-    :func:`~repro.networks.csr.lower_graph` and the check still pins the
-    cache path.  Only runs once the round graph itself passed the
+    of the same arrays.  Only runs once the round graph itself passed the
     structural checks, so a mutated (corrupted) graph never reaches it.
     """
     violations: list[str] = []

@@ -33,8 +33,7 @@ from typing import Any, Callable, Iterator, Mapping
 import networkx as nx
 import numpy as np
 
-from repro.networks.csr_native import CSRDynamicGraph, precompile_schedule
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph, precompile_schedule
 from repro.networks.generators import (
     edge_markov_network,
     random_pd_network,
@@ -305,14 +304,14 @@ def generate_cases(suite: str, count: int, master_seed: int) -> list[Case]:
 
 def _arbitrary_network(
     n: int, seed: int, extra_edge_p: float
-) -> CSRDynamicGraph:
+) -> DynamicGraph:
     """A CSR-native memoryless random family keyed by ``(seed, round)``."""
 
     def provider(round_no: int) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng([seed, round_no])
         return random_connected_edges(n, rng, extra_edge_p=extra_edge_p)
 
-    return CSRDynamicGraph(
+    return DynamicGraph(
         n, provider, name=f"verify-arbitrary(n={n}, seed={seed})"
     )
 

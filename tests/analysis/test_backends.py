@@ -28,7 +28,7 @@ from repro.core.dissemination import (
     disseminate_by_flooding,
     disseminate_by_flooding_batch,
 )
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.networks.generators.random_dynamic import RandomConnectedAdversary
 from repro.obs.metrics import MetricsRegistry, use_registry
 

@@ -150,9 +150,9 @@ class TestTokenIdsCounter:
         # baseline's correctness genuinely depends on knowing D.
         import networkx as nx
 
-        from repro.networks.dynamic_graph import DynamicGraph
+        from repro.networks.csr_native import DynamicGraph
 
-        path = DynamicGraph(6, lambda r: nx.path_graph(6))
+        path = DynamicGraph.from_graphs([nx.path_graph(6)])
         outcome = count_with_ids(path, 2)
         assert outcome.count < 6
 

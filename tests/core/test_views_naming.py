@@ -19,13 +19,13 @@ from repro.core.views import (
     view_classes,
     view_table,
 )
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.networks.generators.figures import paper_figure1
 from repro.networks.generators.stars import star_network
 
 
 def static(graph):
-    return DynamicGraph(graph.number_of_nodes(), lambda r: graph)
+    return DynamicGraph.from_graphs([graph])
 
 
 class TestViews:

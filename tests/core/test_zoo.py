@@ -21,7 +21,7 @@ from repro.core.counting.drain import (
 )
 from repro.core.counting.kowalski_mosteiro import count_kowalski_mosteiro
 from repro.core.lowerbound.bounds import theorem1_bound
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.networks.generators.markov import edge_markov_network
 from repro.networks.generators.pd import random_pd_network
 from repro.networks.generators.random_dynamic import RandomConnectedAdversary
@@ -38,7 +38,7 @@ ENGINE_COUNTERS = (
 
 
 def static_network(graph: nx.Graph, name: str) -> DynamicGraph:
-    return DynamicGraph(graph.number_of_nodes(), lambda _r: graph, name=name)
+    return DynamicGraph.from_graphs([graph], name=name)
 
 
 def random_network(n: int, seed: int) -> DynamicGraph:

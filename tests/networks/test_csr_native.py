@@ -1,6 +1,6 @@
 """Tests for CSR-native dynamic topologies (repro.networks.csr_native).
 
-Covers the edge-array provider protocol (:class:`CSRDynamicGraph`),
+Covers the edge-array provider protocol (:class:`DynamicGraph`),
 precompiled schedules, the CSR view == networkx view equivalence for
 every CSR-native family, object == fast differential runs on top of
 them, and the bounded-memory contract for long fresh-graph-per-round
@@ -18,8 +18,14 @@ import pytest
 from repro.adversaries.worst_case import worst_case_pd2_network
 from repro.core.counting.flooding import flood_time_via_protocol
 from repro.core.counting.gossip import gossip_size_estimates
-from repro.networks import CSRDynamicGraph, precompile_schedule
+from repro.networks import (
+    DynamicGraph,
+    DynamicMultigraph,
+    mdbl_to_pd2,
+    precompile_schedule,
+)
 from repro.networks.csr_native import DEFAULT_ROUND_CACHE_SIZE
+from repro.networks.generators.geometric import random_waypoint_network
 from repro.networks.generators.markov import edge_markov_network
 from repro.networks.generators.pd import random_pd_network
 from repro.networks.generators.random_dynamic import (
@@ -58,7 +64,7 @@ def family_networks(seed=5):
 
 class TestCSRDynamicGraph:
     def test_csr_matches_networkx_view(self):
-        network = CSRDynamicGraph(5, ring_provider(5))
+        network = DynamicGraph(5, ring_provider(5))
         for round_no in range(3):
             dense = network.to_csr(round_no).matrix.toarray()
             reference = nx.to_numpy_array(
@@ -67,13 +73,13 @@ class TestCSRDynamicGraph:
             assert np.array_equal(dense, reference)
 
     def test_edges_and_csr_are_memoized(self):
-        network = CSRDynamicGraph(6, ring_provider(6))
+        network = DynamicGraph(6, ring_provider(6))
         assert network.edges(2) is network.edges(2)
         assert network.to_csr(2) is network.to_csr(2)
         assert network.at(2) is network.at(2)
 
     def test_negative_round_rejected(self):
-        network = CSRDynamicGraph(4, ring_provider(4))
+        network = DynamicGraph(4, ring_provider(4))
         with pytest.raises(ValueError, match="start at 0"):
             network.to_csr(-1)
 
@@ -82,27 +88,27 @@ class TestCSRDynamicGraph:
             return np.array([0, 9]), np.array([1, 2])
 
         with pytest.raises(TopologyError, match="outside"):
-            CSRDynamicGraph(4, provider).to_csr(0)
+            DynamicGraph(4, provider).to_csr(0)
 
     def test_self_loop_rejected(self):
         def provider(round_no):
             return np.array([0, 2]), np.array([1, 2])
 
         with pytest.raises(TopologyError, match="self-loop"):
-            CSRDynamicGraph(4, provider).to_csr(0)
+            DynamicGraph(4, provider).to_csr(0)
 
     def test_mismatched_lengths_rejected(self):
         def provider(round_no):
             return np.array([0, 1]), np.array([1])
 
         with pytest.raises(TopologyError, match="length"):
-            CSRDynamicGraph(4, provider).edges(0)
+            DynamicGraph(4, provider).edges(0)
 
     def test_duplicate_and_reversed_edges_collapse(self):
         def provider(round_no):
             return np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1])
 
-        adjacency = CSRDynamicGraph(3, provider).to_csr(0)
+        adjacency = DynamicGraph(3, provider).to_csr(0)
         assert adjacency.edges == 2
         assert adjacency.connected
 
@@ -118,7 +124,7 @@ class TestCSRDynamicGraph:
 
     def test_eviction_counter_increments(self):
         registry = MetricsRegistry()
-        network = CSRDynamicGraph(5, ring_provider(5), cache_rounds=2)
+        network = DynamicGraph(5, ring_provider(5), cache_rounds=2)
         with use_registry(registry):
             for round_no in range(6):
                 network.to_csr(round_no)
@@ -133,7 +139,7 @@ class TestPrecompiledSchedules:
                 n, np.random.default_rng([seed, round_no]), extra_edge_p=0.2
             )
 
-        return CSRDynamicGraph(n, provider, name="source")
+        return DynamicGraph(n, provider, name="source")
 
     def test_prefix_matches_source(self):
         source = self.source()
@@ -166,8 +172,6 @@ class TestPrecompiledSchedules:
             compiled.to_csr(3)
 
     def test_non_native_source_supported(self):
-        from repro.networks.dynamic_graph import DynamicGraph
-
         graphs = [nx.path_graph(4), nx.cycle_graph(4)]
         source = DynamicGraph.from_graphs(graphs)
         compiled = precompile_schedule(source, 2)
@@ -253,6 +257,52 @@ class TestBoundedMemory:
         assert settled - warm < 256 * 1024
 
 
+def _waypoint():
+    return random_waypoint_network(12, seed=3)
+
+
+def _pd2():
+    multigraph = DynamicMultigraph.random(
+        2, 10, 4 * DEFAULT_ROUND_CACHE_SIZE, np.random.default_rng(2)
+    )
+    return mdbl_to_pd2(multigraph)[0]
+
+
+@pytest.mark.parametrize(
+    "build", [_waypoint, _pd2], ids=["random-waypoint", "mdbl-to-pd2"]
+)
+class TestBoundedFamilyCaches:
+    """Families that used to cache every round's graph forever."""
+
+    def test_caches_stay_within_capacity(self, build):
+        network = build()
+        for round_no in range(2 * DEFAULT_ROUND_CACHE_SIZE):
+            network.at(round_no)
+            network.to_csr(round_no)
+        assert all(
+            size <= DEFAULT_ROUND_CACHE_SIZE
+            for size in network.cache_sizes().values()
+        )
+
+    def test_memory_is_flat_after_warm_up(self, build):
+        network = build()
+        tracemalloc.start()
+        try:
+            for round_no in range(2 * DEFAULT_ROUND_CACHE_SIZE):
+                network.at(round_no)
+                network.to_csr(round_no)
+            warm = tracemalloc.get_traced_memory()[0]
+            for round_no in range(
+                2 * DEFAULT_ROUND_CACHE_SIZE, 4 * DEFAULT_ROUND_CACHE_SIZE
+            ):
+                network.at(round_no)
+                network.to_csr(round_no)
+            settled = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert settled - warm < 256 * 1024
+
+
 class TestIndexDtypePolicy:
     """The int32-first CSR index policy (repro.networks.csr)."""
 
@@ -321,7 +371,7 @@ class TestIndexDtypePolicy:
 
     def test_precompiled_store_uses_policy_dtype(self):
         network = precompile_schedule(
-            CSRDynamicGraph(6, ring_provider(6)), 3
+            DynamicGraph(6, ring_provider(6)), 3
         )
         for round_no in range(3):
             u, v = network.edges(round_no)

@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.simulation.errors import ModelError, TopologyError
 
 
 def path(n):
     return nx.path_graph(n)
+
+
+def edges_of(graph):
+    pairs = np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
 
 
 class TestDynamicGraph:
@@ -19,7 +25,7 @@ class TestDynamicGraph:
 
         def provider(round_no):
             calls.append(round_no)
-            return path(3)
+            return edges_of(path(3))
 
         graph = DynamicGraph(3, provider)
         graph.at(0)
@@ -28,53 +34,38 @@ class TestDynamicGraph:
         assert calls == [0, 1]
 
     def test_validates_node_set(self):
-        graph = DynamicGraph(4, lambda r: path(3))
-        with pytest.raises(TopologyError, match="node set"):
+        graph = DynamicGraph(3, lambda r: edges_of(path(4)))
+        with pytest.raises(TopologyError, match="outside the process"):
             graph.at(0)
 
     def test_wrong_labels_reported_even_when_size_matches(self):
         # Three nodes, but labeled 10..12: the error must name the
         # offending labels, not just report a (correct-looking) size.
         shifted = nx.relabel_nodes(path(3), {0: 10, 1: 11, 2: 12})
-        graph = DynamicGraph(3, lambda r: shifted)
-        with pytest.raises(TopologyError, match=r"unexpected labels \[10, 11, 12\]"):
-            graph.at(0)
+        with pytest.raises(ModelError, match=r"unexpected labels \[10, 11, 12\]"):
+            DynamicGraph.from_graphs([shifted])
 
     def test_missing_labels_reported(self):
-        graph = DynamicGraph(4, lambda r: path(3))
-        with pytest.raises(TopologyError, match=r"missing \[3\]"):
-            graph.at(0)
-
-    def test_copy_on_cache_shields_provider_mutation(self):
-        # A provider that keeps mutating the one graph object it hands
-        # out must not retroactively corrupt already-cached rounds.
-        live = path(3)
-        graph = DynamicGraph(3, lambda r: live)
-        before = set(graph.at(0).edges())
-        live.add_edge(0, 2)
-        assert set(graph.at(0).edges()) == before
-
-    def test_copy_on_cache_can_be_disabled(self):
-        live = path(3)
-        graph = DynamicGraph(3, lambda r: live, copy_on_cache=False)
-        assert graph.at(0) is live
+        gapped = nx.relabel_nodes(path(3), {2: 3})
+        with pytest.raises(ModelError, match=r"missing \[2\]"):
+            DynamicGraph.from_graphs([gapped])
 
     def test_negative_round_rejected(self):
-        graph = DynamicGraph(3, lambda r: path(3))
+        graph = DynamicGraph.from_graphs([path(3)])
         with pytest.raises(ValueError):
             graph.at(-1)
 
     def test_topology_provider_interface(self):
-        graph = DynamicGraph(3, lambda r: path(3))
+        graph = DynamicGraph.from_graphs([path(3)])
         assert graph.graph(0, None).number_of_nodes() == 3
 
     def test_window(self):
-        graph = DynamicGraph(2, lambda r: path(2))
+        graph = DynamicGraph.from_graphs([path(2)])
         assert len(graph.window(4)) == 4
 
     def test_needs_positive_n(self):
         with pytest.raises(ValueError):
-            DynamicGraph(0, lambda r: path(1))
+            DynamicGraph(0, lambda r: edges_of(path(1)))
 
 
 class TestFromGraphs:
@@ -167,20 +158,21 @@ class TestToCSR:
         assert len(lowered) == 2
 
     def test_fresh_graphs_lowered_per_round(self):
-        graph = DynamicGraph(3, lambda r: path(3))
+        # Without a round_key every round is its own cache entry.
+        graph = DynamicGraph(3, lambda r: edges_of(path(3)))
         assert graph.to_csr(0) is not graph.to_csr(1)
         assert graph.to_csr(1) is graph.to_csr(1)
 
     def test_invalid_graph_rejected(self):
-        graph = DynamicGraph(3, lambda r: path(3))
-        loop = graph.at(0)
+        loop = path(3)
         loop.add_edge(1, 1)
+        graph = DynamicGraph.from_graphs([loop])
         with pytest.raises(TopologyError, match="self-loop"):
             graph.to_csr(0)
 
 
 class TestExtendRulesOnBothBackends:
-    """Differential: hold/cycle identity-memoized lowering, both engines."""
+    """Differential: hold/cycle memoized lowering, both engines."""
 
     @pytest.mark.parametrize("extend", ["hold", "cycle"])
     def test_flood_times_agree(self, extend):

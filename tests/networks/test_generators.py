@@ -20,6 +20,7 @@ from repro.networks.properties import (
     persistent_distances,
     verify_pd,
 )
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.simulation.errors import ModelError
 
 
@@ -37,6 +38,17 @@ class TestStars:
     def test_custom_leader(self):
         star = star_network(4, leader=2)
         assert star.at(0).degree(2) == 3
+
+    def test_static_star_lowered_and_built_once(self):
+        # Regression: the star used to be snapshotted and re-lowered
+        # every round (10 builds, a new graph object per round).
+        star = star_network(6)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            lowered = [star.to_csr(round_no) for round_no in range(10)]
+        assert registry.snapshot()["counters"]["adjacency.builds"] == 1
+        assert all(adjacency is lowered[0] for adjacency in lowered)
+        assert star.at(0) is star.at(1)
 
     def test_too_small(self):
         with pytest.raises(ValueError):

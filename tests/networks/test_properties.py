@@ -5,7 +5,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.networks.generators.figures import paper_figure1
 from repro.networks.generators.pd import random_pd_network
 from repro.networks.generators.stars import star_network
@@ -21,7 +21,7 @@ from repro.simulation.errors import ModelError
 
 
 def static(graph):
-    return DynamicGraph(graph.number_of_nodes(), lambda r: graph)
+    return DynamicGraph.from_graphs([graph])
 
 
 class TestIntervalConnectivity:

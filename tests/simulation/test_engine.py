@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.networks.csr import lower_graph
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.simulation.engine import (
     DegreeOracleEngine,
     EngineConfig,
@@ -367,17 +367,12 @@ def _engine_run(graph: nx.Graph) -> None:
             r"unexpected labels \[7, 'x'\]",
         ),
         (
-            lambda: DynamicGraph(4, lambda r: _mixed_labels()).at(0),
-            TopologyError,
-            r"unexpected labels \[7, 'x'\], missing \[2, 3\]",
-        ),
-        (
             lambda: _engine_run(_mixed_labels()),
             TopologyError,
             "do not match process indices",
         ),
     ],
-    ids=["lower_graph", "from_graphs", "at", "engine"],
+    ids=["lower_graph", "from_graphs", "engine"],
 )
 def test_mixed_type_labels_raise_model_error(check, error, match):
     """Regression: sorting ``int`` and ``str`` labels for the message

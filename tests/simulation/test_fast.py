@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from repro.networks.csr import (
-    AdjacencyCache,
     StackCache,
     lower_graph,
     stack_adjacencies,
 )
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.simulation.engine import EngineConfig
 from repro.simulation.errors import TerminationError, TopologyError
@@ -108,18 +107,6 @@ class TestLowerGraph:
 
 
 class TestCaches:
-    def test_adjacency_cache_hit_by_identity(self):
-        cache = AdjacencyCache()
-        graph = nx.path_graph(3)
-        assert cache.lower(graph) is cache.lower(graph)
-        assert len(cache) == 1
-
-    def test_adjacency_cache_distinct_objects(self):
-        cache = AdjacencyCache()
-        assert cache.lower(nx.path_graph(3)) is not cache.lower(
-            nx.path_graph(3)
-        )
-
     def test_stack_single_part_passthrough(self):
         part = lower_graph(nx.path_graph(3))
         assert stack_adjacencies([part]) is part
@@ -143,35 +130,6 @@ class TestCaches:
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError):
             stack_adjacencies([])
-
-    def test_adjacency_cache_is_bounded(self):
-        registry = MetricsRegistry()
-        cache = AdjacencyCache(maxsize=3)
-        graphs = [nx.path_graph(3) for _ in range(10)]
-        with use_registry(registry):
-            for graph in graphs:
-                cache.lower(graph)
-        assert len(cache) == 3
-        counters = registry.snapshot()["counters"]
-        assert counters["adjacency.cache_evictions"] == 7
-
-    def test_adjacency_cache_lru_keeps_recent(self):
-        cache = AdjacencyCache(maxsize=2)
-        old, recent = nx.path_graph(3), nx.path_graph(4)
-        first = cache.lower(old)
-        second = cache.lower(recent)
-        cache.lower(recent)  # refresh: recent is now most recently used
-        cache.lower(nx.path_graph(5))  # evicts `old`, not `recent`
-        assert cache.lower(recent) is second
-        assert cache.lower(old) is not first
-
-    def test_adjacency_cache_clear(self):
-        cache = AdjacencyCache()
-        graph = nx.path_graph(3)
-        before = cache.lower(graph)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.lower(graph) is not before
 
     def test_stack_cache_is_bounded(self):
         registry = MetricsRegistry()
@@ -330,14 +288,6 @@ class TestFastEngine:
     def test_empty_lanes_rejected(self):
         with pytest.raises(ValueError, match="lane"):
             FastEngine(Flood([]), [])
-
-    def test_callable_topology_supported(self):
-        engine = FastEngine(
-            Flood([0]),
-            [FastLane(lambda r: nx.path_graph(3), 3, leader=None)],
-            config=EngineConfig(stop_when="all", max_rounds=10),
-        )
-        assert engine.run()[0].rounds == 2
 
     def test_round_hook_called_per_round(self):
         seen = []

@@ -21,7 +21,7 @@ from repro.core.counting.gossip import gossip_size_estimates_batch
 from repro.core.counting.star import VectorizedStar
 from repro.core.counting.token_ids import count_with_ids_batch
 from repro.core.dissemination import disseminate_by_flooding_batch
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.networks.generators import star_network
 from repro.networks.generators.random_dynamic import (
     RandomConnectedAdversary,
@@ -366,26 +366,26 @@ class TestMemoryBound:
 class TestDtypePolicy:
     """Overflow promotion at the int32 boundary (ISSUE 8 satellite)."""
 
-    def _engine(self, n: int) -> FastEngine:
+    def _block(self, n: int) -> _LaneBlock:
         # Construction alone derives the dtypes; nothing runs, so a
-        # 46k-node star lane costs only the networkx graph build.
-        return FastEngine(
-            VectorizedStar(), [FastLane(star_network(n), n, leader=0)]
+        # 46k-node star lane costs no graph build at all.
+        return _LaneBlock(
+            [FastLane(star_network(n), n, leader=0)], EngineConfig()
         )
 
     def test_accumulator_int32_below_square_boundary(self):
         # 46340**2 = 2,147,395,600 < 2**31: delivered-count math still
         # fits int32.
-        engine = self._engine(46340)
-        assert engine._index_dtype == np.int32
-        assert engine._acc_dtype == np.int32
+        block = self._block(46340)
+        assert block._count_dtype == np.int32
+        assert block._acc_dtype == np.int32
 
     def test_accumulator_promotes_past_square_boundary(self):
         # 46341**2 crosses 2**31: the delivered-count accumulator must
         # promote to int64 while plain node indexing stays int32.
-        engine = self._engine(46341)
-        assert engine._index_dtype == np.int32
-        assert engine._acc_dtype == np.int64
+        block = self._block(46341)
+        assert block._count_dtype == np.int32
+        assert block._acc_dtype == np.int64
 
     def test_block_rederives_chunk_local_dtypes(self):
         # A chunk re-derives dtypes from its own (smaller) totals, so a

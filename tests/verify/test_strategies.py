@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.networks.dynamic_graph import DynamicGraph
+from repro.networks.csr_native import DynamicGraph
 from repro.verify.strategies import (
     MODEL_KINDS,
     SUITES,
