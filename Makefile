@@ -104,8 +104,10 @@ shard-smoke:
 # Observability smoke: a --jobs 2 sweep with an injected crash, round
 # telemetry, and a shared JSONL event log must stitch into a single
 # span tree (`repro trace`), render as a feed (`repro tail`), and merge
-# with the metrics snapshot (`repro stats`).  Artifacts stay in
-# .trace-smoke/ for CI to upload.
+# with the metrics snapshot (`repro stats`).  A copy of the event log
+# with a torn line and a non-object line appended must still be read
+# by all three, with both lines counted as unparseable.  Artifacts
+# stay in .trace-smoke/ for CI to upload.
 trace-smoke:
 	@rm -rf .trace-smoke && mkdir -p .trace-smoke
 	$(PYTHON) -m repro report .trace-smoke/report.md $(SMOKE_EXPERIMENTS) \
@@ -123,6 +125,13 @@ trace-smoke:
 	grep -q "telemetry" .trace-smoke/feed.txt
 	$(PYTHON) -m repro stats .trace-smoke/metrics.json \
 		.trace-smoke/events.jsonl > /dev/null
+	cp .trace-smoke/events.jsonl .trace-smoke/damaged.jsonl
+	printf '{"kind": "log", "msg": "tor\n5\n' >> .trace-smoke/damaged.jsonl
+	$(PYTHON) -m repro trace .trace-smoke/damaged.jsonl > /dev/null
+	$(PYTHON) -m repro tail .trace-smoke/damaged.jsonl > /dev/null
+	$(PYTHON) -m repro stats .trace-smoke/damaged.jsonl \
+		> .trace-smoke/damaged-stats.txt
+	grep -qF "(2 unparseable line(s) skipped)" .trace-smoke/damaged-stats.txt
 
 # Property-based verification gate: fixed-seed fuzz over all five
 # suites, then the seeded-mutant self-test proving the harness detects,

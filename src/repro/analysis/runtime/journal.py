@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
+from repro.obs.jsonl import read_jsonl
 from repro.obs.logger import get_logger
 
 _log = get_logger("analysis.runtime.journal")
@@ -96,6 +97,14 @@ def parse_shard(spec: str) -> tuple[int, int]:
     return index, count
 
 
+def _read_journal(path: Path) -> list[dict[str, Any]]:
+    """The journal's records; unreadable lines are skipped with a warning."""
+    records, bad = read_jsonl(path)
+    if bad:
+        _log.warning("skipping %d unreadable journal line(s) in %s", bad, path)
+    return records
+
+
 def merge_journals(
     out_path: str | Path, sources: Iterable[str | Path]
 ) -> int:
@@ -118,17 +127,7 @@ def merge_journals(
     keyed: list[tuple[float, dict[str, Any]]] = []
     for source in sources:
         last_ts = float("-inf")
-        for line in source.read_text().splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                _log.warning(
-                    "skipping unreadable journal line during merge",
-                    extra={"path": str(source)},
-                )
-                continue
+        for record in _read_journal(source):
             ts = record.get("ts")
             if isinstance(ts, (int, float)) and not isinstance(ts, bool):
                 last_ts = float(ts)
@@ -255,18 +254,10 @@ class Journal:
         """
         entries: dict[str, JournalEntry] = {}
         try:
-            lines = self.path.read_text().splitlines()
+            records = _read_journal(self.path)
         except OSError:
             return entries
-        for line in lines:
-            try:
-                record = json.loads(line)
-            except ValueError:
-                _log.warning(
-                    "skipping unreadable journal line",
-                    extra={"path": str(self.path)},
-                )
-                continue
+        for record in records:
             task = record.get("task")
             if task is None:
                 continue  # sweep/aborted markers carry no task state

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.analysis.tables import render_table
+from repro.obs.jsonl import read_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import expand_paths
 
@@ -164,36 +165,22 @@ def summarize_events(events: list[dict[str, Any]]) -> str:
     return "\n\n".join(sections)
 
 
-def _sniff(text: str) -> tuple[dict[str, Any] | None, list[dict[str, Any]], int]:
-    """Classify one file's content: ``(snapshot, events, bad_lines)``.
+def _sniff(path: Path) -> tuple[dict[str, Any] | None, list[dict[str, Any]], int]:
+    """Classify one file: ``(snapshot, events, bad_lines)``.
 
     A single JSON object with a ``counters``/``gauges``/``histograms``
-    key is a metrics snapshot; anything else is parsed line by line as
-    events (unparseable lines are counted, not fatal).
+    key is a metrics snapshot; anything else is read as a JSONL event
+    log (unparseable lines are counted, not fatal).
     """
     try:
-        payload = json.loads(text)
+        payload = json.loads(path.read_bytes())
     except ValueError:
         payload = None
     if isinstance(payload, dict) and (
         {"counters", "gauges", "histograms"} & payload.keys()
     ):
         return payload, [], 0
-    events: list[dict[str, Any]] = []
-    bad = 0
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line)
-        except ValueError:
-            bad += 1
-            continue
-        if isinstance(event, dict):
-            events.append(event)
-        else:
-            bad += 1
+    events, bad = read_jsonl(path)
     return None, events, bad
 
 
@@ -224,7 +211,7 @@ def summarize_stats_files(patterns: Sequence[str | Path]) -> str:
     events: list[dict[str, Any]] = []
     bad = 0
     for path in paths:
-        snapshot, file_events, file_bad = _sniff(Path(path).read_text())
+        snapshot, file_events, file_bad = _sniff(Path(path))
         if snapshot is not None:
             merged.merge(snapshot)
             snapshots += 1

@@ -9,9 +9,9 @@ module renders both as one human-readable feed:
 * one pass by default (print what is there now and exit -- scriptable),
 * ``--follow`` to keep polling for appended lines until interrupted,
 
-Partial trailing lines (a writer mid-``write``) are left in the buffer
-until their newline arrives, so a torn line is delayed, never
-mangled.
+Both modes read through :class:`repro.obs.jsonl.JsonlCursor`: a torn
+trailing line (a writer mid-``write``) is held back until its newline
+arrives -- delayed, never mangled -- and unparseable lines are skipped.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Any, Iterator, Sequence, TextIO
+from typing import Any, Sequence, TextIO
+
+from repro.obs.jsonl import JsonlCursor
 
 __all__ = ["format_record", "tail"]
 
@@ -68,30 +70,6 @@ def format_record(record: dict[str, Any]) -> str:
     return json.dumps(record, default=repr)
 
 
-class _FileCursor:
-    """Incremental reader of whole lines from one append-only file."""
-
-    def __init__(self, path: Path) -> None:
-        self.path = path
-        self.offset = 0
-
-    def new_lines(self) -> Iterator[str]:
-        try:
-            with open(self.path, "r", encoding="utf-8") as stream:
-                stream.seek(self.offset)
-                chunk = stream.read()
-        except OSError:
-            return  # not created yet (follow mode) or vanished
-        end = chunk.rfind("\n")
-        if end < 0:
-            return  # only a torn partial line so far
-        self.offset += end + 1
-        for line in chunk[: end + 1].splitlines():
-            line = line.strip()
-            if line:
-                yield line
-
-
 def tail(
     paths: Sequence[str | Path],
     *,
@@ -113,7 +91,7 @@ def tail(
     Raises:
         FileNotFoundError: One-pass mode and a path does not exist.
     """
-    cursors = [_FileCursor(Path(path)) for path in paths]
+    cursors = [JsonlCursor(path) for path in paths]
     if not follow:
         for cursor in cursors:
             if not cursor.path.exists():
@@ -123,14 +101,10 @@ def tail(
     while True:
         for cursor in cursors:
             prefix = f"[{cursor.path.name}] " if len(cursors) > 1 else ""
-            for line in cursor.new_lines():
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(record, dict):
-                    stream.write(prefix + format_record(record) + "\n")
-                    printed += 1
+            records, _bad = cursor.records()
+            for record in records:
+                stream.write(prefix + format_record(record) + "\n")
+            printed += len(records)
         stream.flush()
         if not follow:
             return printed

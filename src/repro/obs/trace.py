@@ -30,11 +30,12 @@ rebuild each span tree, and render it as an indented tree
 from __future__ import annotations
 
 import glob as glob_mod
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
+
+from repro.obs.jsonl import read_jsonl
 
 __all__ = [
     "SpanNode",
@@ -119,19 +120,9 @@ def read_events(
     events: list[dict[str, Any]] = []
     bad = 0
     for path in expand_paths(paths):
-        for line in Path(path).read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except ValueError:
-                bad += 1  # torn final write of a killed worker
-                continue
-            if isinstance(event, dict):
-                events.append(event)
-            else:
-                bad += 1
+        file_events, file_bad = read_jsonl(path)
+        events.extend(file_events)
+        bad += file_bad  # e.g. the torn final write of a killed worker
     events.sort(
         key=lambda e: (e.get("ts", 0.0), e.get("pid", 0), e.get("seq", 0))
     )

@@ -14,6 +14,8 @@ from typing import Any, Iterator
 from urllib.error import HTTPError, URLError
 from urllib.request import Request, urlopen
 
+from repro.obs.jsonl import iter_jsonl
+
 __all__ = ["ServiceClient", "ServiceError"]
 
 
@@ -120,16 +122,15 @@ class ServiceClient:
 
         With ``follow`` the stream ends when the job reaches a terminal
         state and the file is drained (the server closes the
-        connection).
+        connection).  Unparseable lines (a torn tail) are skipped.
         """
         suffix = "?follow=1" if follow else ""
         request = Request(f"{self.base_url}/jobs/{job_id}/events{suffix}")
         try:
             with urlopen(request, timeout=self.timeout_s) as response:
-                for line in response:
-                    line = line.strip()
-                    if line:
-                        yield json.loads(line)
+                for record in iter_jsonl(response):
+                    if record is not None:
+                        yield record
         except HTTPError as exc:
             body = exc.read()
             try:

@@ -45,6 +45,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro import __version__
 from repro.analysis.registry import available_experiments
+from repro.obs.jsonl import JsonlCursor
 from repro.obs.logger import get_logger
 from repro.obs.metrics import counter, get_registry
 from repro.scenarios.schema import Scenario, ScenarioError
@@ -163,40 +164,27 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Connection", "close")
         self.end_headers()
         self.close_connection = True
-        offset = 0
+        cursor = JsonlCursor(job.events_path)
         grace = 2
         while True:
-            chunk = b""
-            try:
-                with open(job.events_path, "rb") as stream:
-                    stream.seek(offset)
-                    chunk = stream.read()
-            except OSError:
-                pass  # not started yet: nothing to send this tick
-            # Only forward whole lines; a torn trailing line is re-read
-            # once the writer finishes it.
-            cut = chunk.rfind(b"\n") + 1 if chunk else 0
-            if cut:
-                self.wfile.write(chunk[:cut])
+            lines = cursor.read()
+            if lines:
+                self.wfile.write(lines)
                 self.wfile.flush()
-                offset += cut
-            tail = chunk[cut:]
             if not follow:
                 return
-            if job.done:
-                if not chunk:
-                    return
-                if not tail:
-                    continue  # drain what accumulated after the flip
-                if grace > 0:
-                    # The writer may be mid-line; give it a beat.
-                    grace -= 1
-                    time.sleep(0.02)
-                    continue
-                self.wfile.write(tail)
+            if not job.done:
+                time.sleep(0.02 if lines or cursor.pending else 0.05)
+            elif not cursor.pending:
+                if not lines:
+                    return  # else drain what accumulated after the flip
+            elif grace > 0:
+                grace -= 1  # the writer may be mid-line; give it a beat
+                time.sleep(0.02)
+            else:
+                self.wfile.write(cursor.pending)
                 self.wfile.flush()
                 return
-            time.sleep(0.02 if chunk else 0.05)
 
     def do_POST(self) -> None:  # noqa: N802 -- http.server API
         counter("service.http.requests")

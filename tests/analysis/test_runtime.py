@@ -8,6 +8,7 @@ deterministic fault-injection harness from
 
 from __future__ import annotations
 
+import logging
 import os
 
 import pytest
@@ -148,6 +149,24 @@ class TestJournal:
             stream.write('{"event": "completed", "task": "tab-a-1')  # torn
         entries = journal.replay()
         assert entries["tab-a-1111"].status == "started"
+
+    def test_non_object_line_skipped_with_warning(self, tmp_path, caplog):
+        # A valid JSON line that is not an object used to crash replay
+        # (and so --resume) with AttributeError.
+        path = tmp_path / "journal.jsonl"
+        path.write_text('{"event":"started","task":"t","ts":1}\n5\n')
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            entries = Journal(path).replay()
+        assert entries["t"].status == "started"
+        assert any("unreadable" in r.getMessage() for r in caplog.records)
+
+    def test_blank_lines_are_not_warned_about(self, tmp_path, caplog):
+        path = tmp_path / "journal.jsonl"
+        path.write_text('\n{"event":"started","task":"t","ts":1}\n\n')
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            entries = Journal(path).replay()
+        assert entries["t"].status == "started"
+        assert not any("unreadable" in r.getMessage() for r in caplog.records)
 
     def test_missing_file_is_empty(self, tmp_path):
         assert Journal(tmp_path / "nope.jsonl").replay() == {}
@@ -631,6 +650,15 @@ class TestMergeJournals:
         entry = Journal(out).replay()["t"]
         assert entry.status == "completed"
         assert entry.result_path == "r.json"
+
+    def test_merge_skips_non_object_line(self, tmp_path):
+        from repro.analysis.runtime import merge_journals
+
+        source = tmp_path / "a.jsonl"
+        source.write_text('{"event":"started","task":"t","ts":1}\n5\n')
+        out = tmp_path / "merged.jsonl"
+        assert merge_journals(out, [source]) == 1
+        assert Journal(out).replay()["t"].status == "started"
 
     def test_merge_requires_sources(self, tmp_path):
         from repro.analysis.runtime import merge_journals

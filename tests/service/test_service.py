@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis.registry import ExperimentRequest
 from repro.analysis.runtime import ResultCache, run_sweep
+from repro.obs.jsonl import read_jsonl
 from repro.obs.metrics import get_registry
 from repro.obs.trace import read_events, stitch
 from repro.scenarios import Scenario
@@ -237,6 +238,23 @@ class TestHttpService:
         assert json.loads(tail) == {"event": "torn"}
         for line in whole.splitlines():
             json.loads(line)
+
+    def test_client_stream_skips_torn_tail_of_finished_job(
+        self, service, client
+    ):
+        # The server flushes a finished job's torn tail as-is; the
+        # client used to raise JSONDecodeError on it.
+        submission = client.submit(
+            {**SMOKE, "name": "torn-tail-client", "cache_policy": "refresh"}
+        )
+        job_id = submission["job"]
+        client.wait(job_id)
+        job = service.manager.get(job_id)
+        whole, bad = read_jsonl(job.events_path)
+        assert whole and bad == 0
+        with open(job.events_path, "a", encoding="utf-8") as stream:
+            stream.write('{"event": "tor')  # deliberately no newline
+        assert list(client.stream_events(job_id, follow=True)) == whole
 
     def test_unknown_scenario_key_is_http_400(self, client):
         with pytest.raises(ServiceError, match="'bogus'") as err:
