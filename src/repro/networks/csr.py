@@ -20,19 +20,26 @@ This module owns that lowering:
   straight from ``(u, v)`` edge index arrays, with no ``nx.Graph`` on
   the hot path -- the substrate of
   :class:`repro.networks.csr_native.DynamicGraph`;
-* :func:`stack_adjacencies` / :class:`StackCache` -- block-diagonal
-  stacking of independent lanes, so a batch of runs (seeds x sizes of a
-  sweep point) executes as one fused matvec per round.
+* :func:`csr_from_lane_edges` -- the fast engine's per-round build: the
+  block-diagonal adjacency of a whole batch of independent lanes (seeds
+  x sizes of a sweep point) plus a per-lane connectivity flag, from the
+  lanes' validated edge arrays in one pass, so the batch executes as
+  one fused matvec per round;
+* :func:`stack_adjacencies` -- block-diagonal stacking of already built
+  lane adjacencies (the reference the fused build is tested against).
 
 Every adjacency comes out of one edges->CSR kernel: directed keys
 ``row * n + col`` for both orientations, sorted once (``np.unique``
 hashes and then sorts on numpy >= 2.3, about twice the cost), adjacent
 duplicates dropped, ``indices = keys % n`` and ``indptr`` from a row
 ``bincount`` -- canonical CSR with unit weights and no COO round trip.
-The matrix is symmetric by construction, so a directed BFS from node 0
-reaching all ``n`` nodes is exactly connectivity, with no transpose.
+Several lanes go through the same kernel at once: each lane's
+endpoints are shifted by its node offset first, so the sorted keys are
+the block-diagonal matrix itself.  The matrix is symmetric by
+construction, so a directed BFS from a lane's first node reaching the
+whole lane is exactly that lane's connectivity, with no transpose.
 Stacking concatenates the parts' arrays with node and nnz offsets,
-which is the block-diagonal matrix itself, already canonical.
+which is the same block-diagonal matrix, already canonical.
 
 Every cache built on :class:`LRUCache` is *bounded*: a
 fresh-graph-per-round workload holds O(1) adjacencies, and evictions
@@ -50,21 +57,21 @@ the narrower storage dtype can never overflow intermediate products.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 import networkx as nx
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from repro.obs.metrics import counter
 from repro.simulation.errors import TopologyError, sorted_labels
 
 __all__ = [
     "CSRAdjacency",
-    "StackCache",
     "LRUCache",
     "csr_from_edges",
+    "csr_from_lane_edges",
     "graph_from_edges",
     "index_dtype_for",
     "lower_graph",
@@ -72,9 +79,13 @@ __all__ = [
     "validate_edge_arrays",
 ]
 
-#: Default LRU capacity of :class:`StackCache`.  Lane combinations
-#: change at most once per round, so a handful of entries suffice.
-DEFAULT_STACK_CACHE_SIZE = 32
+#: Multi-lane stacks with fewer stored entries than this get their
+#: per-lane connectivity from one strong-component labelling; larger
+#: ones from one BFS out of a virtual root.  The BFS pays ~35 us to
+#: build its extended matrix, but past this size it is about 2x cheaper
+#: than the labelling (x86_64, scipy 1.17: 16 lanes x n=8, 17 us against
+#: 48 us; 2 x 65,536-node trees, 5.1 ms against 10.6 ms).
+LABEL_MAX_ENTRIES = 4096
 
 #: First value that no longer fits an ``int32`` index.
 INT32_LIMIT = 2**31
@@ -97,15 +108,17 @@ class CSRAdjacency:
     """One round's communication graph in CSR form.
 
     Wraps a symmetric ``scipy.sparse`` CSR matrix with unit weights.
-    Instances are produced by :func:`lower_graph` (validated) or
-    :func:`stack_adjacencies` (block-diagonal batch) and treated as
+    Instances are produced by :func:`lower_graph`, :func:`csr_from_edges`
+    and :func:`csr_from_lane_edges` (validated), or
+    :func:`stack_adjacencies` (block-diagonal batch), and treated as
     immutable.
 
     Attributes:
         n: Number of nodes (the matrix is ``n x n``).
         matrix: The underlying ``scipy.sparse`` CSR array (float64).
         connected: Whether the graph is connected; ``None`` for stacked
-            batches (a block-diagonal never is, by construction).
+            batches (a block-diagonal never is, by construction; the
+            per-lane flags come from :func:`csr_from_lane_edges`).
     """
 
     __slots__ = ("n", "matrix", "connected", "_degrees")
@@ -177,7 +190,8 @@ def lower_graph(graph: nx.Graph, *, n: int | None = None) -> CSRAdjacency:
             "never its own neighbour"
         )
     edges = np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2)
-    adjacency = _adjacency_from_edges(expected, edges[:, 0], edges[:, 1])
+    u, v = validate_edge_arrays(expected, edges[:, 0], edges[:, 1])
+    adjacency, _ = _lane_csr(np.array([0, expected]), u, v)
     counter("adjacency.builds")
     return adjacency
 
@@ -240,20 +254,74 @@ def csr_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> CSRAdjacency:
     Raises:
         TopologyError: Endpoint out of range or self-loop.
     """
-    adjacency = _adjacency_from_edges(n, u, v)
-    counter("adjacency.builds")
-    counter("adjacency.native_builds")
+    u, v = validate_edge_arrays(n, u, v)
+    adjacency, _ = csr_from_lane_edges([n], [(u, v)])
     return adjacency
 
 
-def _adjacency_from_edges(
-    n: int, u: np.ndarray, v: np.ndarray
-) -> CSRAdjacency:
-    """The one edges->CSR kernel behind every adjacency of this module."""
-    u, v = validate_edge_arrays(n, u, v)
+def csr_from_lane_edges(
+    sizes: Sequence[int], edges: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> tuple[CSRAdjacency, np.ndarray]:
+    """Build the block-diagonal adjacency of several lanes in one pass.
+
+    Lane ``i`` has ``sizes[i]`` nodes and the undirected edges
+    ``edges[i] = (u, v)`` over its local indices ``{0..sizes[i]-1}``.
+    Each lane's endpoints are shifted by its node offset and the whole
+    stack goes through the edges->CSR kernel once, so the result is
+    bit-identical to ``stack_adjacencies([csr_from_edges(...), ...])``
+    at a fraction of the per-lane call overhead.
+
+    The edge arrays must already be valid for their lane -- in range,
+    no self-loops, equal lengths -- as :func:`validate_edge_arrays` and
+    :meth:`repro.networks.csr_native.DynamicGraph.edges` return them;
+    they are not checked again here.
+
+    Args:
+        sizes: Node count of every lane (each at least 1).
+        edges: One validated ``(u, v)`` pair per lane.
+
+    Returns:
+        ``(adjacency, connected)``: the stacked adjacency (whose
+        ``connected`` is the lane's flag for a single lane and ``None``
+        for several) and a boolean array with each lane's connectivity.
+    """
+    if len(sizes) != len(edges) or not sizes:
+        raise ValueError(
+            f"need one edge pair per lane and at least one lane; got "
+            f"{len(sizes)} sizes and {len(edges)} edge pairs"
+        )
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    if (offsets[1:] <= offsets[:-1]).any():
+        raise ValueError(f"every lane needs at least one node, got {sizes}")
+    if len(edges) == 1:
+        u, v = edges[0]
+    else:
+        shift = np.repeat(offsets[:-1], [pair[0].size for pair in edges])
+        u = np.concatenate([pair[0] for pair in edges], dtype=np.int64)
+        v = np.concatenate([pair[1] for pair in edges], dtype=np.int64)
+        u += shift
+        v += shift
+    adjacency, connected = _lane_csr(offsets, u, v)
+    counter("adjacency.builds")
+    counter("adjacency.native_builds")
+    if len(edges) > 1:
+        counter("adjacency.stack_builds")
+    return adjacency, connected
+
+
+def _lane_csr(
+    offsets: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> tuple[CSRAdjacency, np.ndarray]:
+    """The one edges->CSR kernel behind every adjacency of this module.
+
+    ``u``/``v`` are valid endpoints on the stacked node axis, lane ``i``
+    spanning ``[offsets[i], offsets[i + 1])``.
+    """
+    n = int(offsets[-1])
     # Keys stay int64 whatever the storage dtype: ``row * n + col``
     # reaches ~n^2, which overflows int32 from n ~ 46341.
-    u, v = u.astype(np.int64), v.astype(np.int64)
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     keys = np.sort(np.concatenate([u * n + v, v * n + u]))
     keep = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
@@ -265,10 +333,48 @@ def _adjacency_from_edges(
         (np.ones(cols.size), cols.astype(dtype), indptr), shape=(n, n)
     )
     matrix.has_canonical_format = True
-    connected = n <= 1 or breadth_first_order(
-        matrix, 0, directed=True, return_predecessors=False
-    ).size == n
-    return CSRAdjacency(matrix, connected=connected)
+    connected = _lane_connectivity(matrix, offsets)
+    single = bool(connected[0]) if connected.size == 1 else None
+    return CSRAdjacency(matrix, connected=single), connected
+
+
+def _lane_connectivity(matrix: sp.csr_array, offsets: np.ndarray) -> np.ndarray:
+    """Per-lane connectivity of a symmetric block-diagonal matrix.
+
+    A directed search suffices: the matrix is symmetric, so the set
+    reached from a lane's first node is exactly its component.
+    """
+    n = int(offsets[-1])
+    lanes = offsets.size - 1
+    starts = offsets[:-1]
+    if lanes == 1:
+        reached = n <= 1 or breadth_first_order(
+            matrix, 0, directed=True, return_predecessors=False
+        ).size == n
+        return np.array([reached])
+    if matrix.nnz < LABEL_MAX_ENTRIES:
+        count, labels = connected_components(
+            matrix, directed=True, connection="strong"
+        )
+        if count == lanes:
+            return np.ones(lanes, dtype=bool)
+        split = labels != np.repeat(labels[starts], np.diff(offsets))
+        return ~np.logical_or.reduceat(split, starts)
+    # A virtual root (node n) with one out-edge to every lane's first
+    # node: one BFS from it reaches each lane's component.
+    dtype = index_dtype_for(max(n + 1, matrix.nnz + lanes))
+    indptr = np.empty(n + 2, dtype=dtype)
+    indptr[:-1] = matrix.indptr
+    indptr[-1] = matrix.nnz + lanes
+    indices = np.concatenate([matrix.indices, starts]).astype(dtype)
+    rooted = sp.csr_array(
+        (np.ones(indices.size), indices, indptr), shape=(n + 1, n + 1)
+    )
+    seen = np.zeros(n + 1, dtype=bool)
+    seen[
+        breadth_first_order(rooted, n, directed=True, return_predecessors=False)
+    ] = True
+    return np.logical_and.reduceat(seen[:n], starts)
 
 
 def graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> nx.Graph:
@@ -289,8 +395,9 @@ def graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> nx.Graph:
 class LRUCache:
     """A small bounded mapping with LRU eviction and an eviction counter.
 
-    The shared bounding mechanism of :class:`StackCache` and the
-    per-round caches of :class:`repro.networks.csr_native.DynamicGraph`.
+    The shared bounding mechanism of the fast engine's stacked-adjacency
+    cache and the per-round caches of
+    :class:`repro.networks.csr_native.DynamicGraph`.
     Every eviction increments ``evict_metric`` so unbounded-growth
     regressions are observable in any metrics snapshot.
     """
@@ -353,45 +460,3 @@ def stack_adjacencies(parts: Sequence[CSRAdjacency]) -> CSRAdjacency:
     counter("adjacency.stack_builds")
     return CSRAdjacency(matrix, connected=None)
 
-
-class StackCache:
-    """Memoize :func:`stack_adjacencies` per tuple of part identities,
-    LRU-bounded.
-
-    On static or ``hold``-extended dynamics every round stacks the same
-    per-lane adjacencies, so the fused matrix is built once per distinct
-    combination instead of once per round; on dynamic workloads where
-    lane identities change every round, old ``(parts, stacked)`` tuples
-    are evicted instead of retained forever (counted in
-    ``adjacency.stack_evictions``).
-    """
-
-    def __init__(self, maxsize: int = DEFAULT_STACK_CACHE_SIZE) -> None:
-        self._lru = LRUCache(maxsize, "adjacency.stack_evictions")
-
-    def __len__(self) -> int:
-        return len(self._lru)
-
-    def clear(self) -> None:
-        """Drop every entry (per-run scoping for long-lived caches)."""
-        self._lru.clear()
-
-    def stack(self, parts: Iterable[CSRAdjacency]) -> CSRAdjacency:
-        parts = tuple(parts)
-        key = tuple(id(part) for part in parts)
-        cached = self._lru.get(key)
-        if cached is not None:
-            kept, stacked = cached
-            # A hit's key is an id-tuple equal to ours, so the lengths
-            # must match by construction; a changed-length lane list can
-            # therefore never masquerade as an id-reuse collision.
-            assert len(kept) == len(parts), (
-                f"stack cache key of length {len(parts)} hit an entry "
-                f"with {len(kept)} parts"
-            )
-            if all(a is b for a, b in zip(kept, parts)):
-                counter("adjacency.stack_hits")
-                return stacked
-        stacked = stack_adjacencies(parts)
-        self._lru.put(key, (parts, stacked))
-        return stacked

@@ -6,8 +6,10 @@ pure function ``round -> (u, v)`` *edge index arrays*, following the
 matrix-first design of connectivity models in network simulators, and
 both views the engines consume are derived from those arrays --
 
-* the CSR adjacency (:func:`repro.networks.csr.csr_from_edges`) feeds
-  the fast backend directly, no ``nx.Graph`` per round;
+* the CSR adjacency (:func:`repro.networks.csr.csr_from_lane_edges`)
+  feeds the fast backend directly, no ``nx.Graph`` per round -- the
+  engine reads every lane's ``edges`` and builds the whole batch's
+  stack at once, ``to_csr`` is the one-lane case;
 * the ``networkx`` view (:func:`repro.networks.csr.graph_from_edges`)
   feeds the object engine and the verification oracles.
 
@@ -25,7 +27,8 @@ Pieces:
   ``networkx`` graphs with a ``hold``/``cycle``/``strict`` extension.
 * :func:`precompile_schedule` -- lower a finite schedule prefix (e.g. a
   worst-case adversary instance) once into stacked per-round index
-  arrays; every subsequent ``to_csr`` is an O(1) lookup.
+  arrays, validated eagerly; every subsequent ``edges`` is an O(1)
+  lookup.
 
 Edge providers must be *pure per round* (the same round always yields
 the same edges), the convention every built-in family follows; purity
@@ -44,7 +47,7 @@ import numpy as np
 from repro.networks.csr import (
     CSRAdjacency,
     LRUCache,
-    csr_from_edges,
+    csr_from_lane_edges,
     graph_from_edges,
     index_dtype_for,
     validate_edge_arrays,
@@ -79,8 +82,9 @@ class DynamicGraph:
 
     Directly usable as an engine topology provider: the object engine
     uses the ``graph``/``at`` view (networkx graphs built lazily from
-    the arrays), the fast backend uses ``to_csr`` (validated CSR built
-    directly from the arrays, no ``nx.Graph`` on the hot path).
+    the arrays), the fast backend reads ``round_key`` and ``edges`` and
+    builds validated CSR directly from the arrays, no ``nx.Graph`` on
+    the hot path (``to_csr`` is the same build for one graph).
 
     Args:
         n: Number of nodes; every edge endpoint must lie in ``{0..n-1}``.
@@ -175,7 +179,13 @@ class DynamicGraph:
 
     # -- round canonicalisation ---------------------------------------
 
-    def _key(self, round_no: int) -> int:
+    def round_key(self, round_no: int) -> int:
+        """The canonical round that ``round_no`` maps to.
+
+        Rounds with equal keys have identical edges (static topologies,
+        ``hold``/``cycle`` extensions), so callers may cache anything
+        derived from a round's edges under its key.
+        """
         if round_no < 0:
             raise ValueError("round numbers start at 0")
         if self._round_key is None:
@@ -186,7 +196,7 @@ class DynamicGraph:
 
     def edges(self, round_no: int) -> tuple[np.ndarray, np.ndarray]:
         """The round's validated ``(u, v)`` edge arrays (cached, LRU)."""
-        key = self._key(round_no)
+        key = self.round_key(round_no)
         cached = self._edge_lru.get(key)
         if cached is None:
             u, v = self._edge_provider(key)
@@ -199,16 +209,16 @@ class DynamicGraph:
     def to_csr(self, round_no: int) -> CSRAdjacency:
         """The round's CSR adjacency, built directly from edge arrays.
 
-        Never constructs an ``nx.Graph``; validation (index range,
-        self-loops, connectivity) runs on the arrays.  Memoized per
-        canonical round in a bounded LRU, so held/cycled rounds lower
-        once while fresh-per-round runs stay O(1) in memory.
+        Never constructs an ``nx.Graph``; the arrays come validated
+        (index range, self-loops) from :meth:`edges` and go through the
+        batch kernel as one lane, which records connectivity.  Memoized
+        per canonical round in a bounded LRU, so held/cycled rounds
+        lower once while fresh-per-round runs stay O(1) in memory.
         """
-        key = self._key(round_no)
+        key = self.round_key(round_no)
         cached = self._csr_lru.get(key)
         if cached is None:
-            u, v = self.edges(round_no)
-            cached = csr_from_edges(self.n, u, v)
+            cached, _ = csr_from_lane_edges([self.n], [self.edges(round_no)])
             self._csr_lru.put(key, cached)
         else:
             counter("adjacency.cache_hits")
@@ -228,7 +238,7 @@ class DynamicGraph:
         graph memory on the object path too.  Treat the returned graph
         as read-only.
         """
-        key = self._key(round_no)
+        key = self.round_key(round_no)
         cached = self._nx_lru.get(key)
         if cached is None:
             cached = graph_from_edges(self.n, *self.edges(round_no))
@@ -327,9 +337,10 @@ def precompile_schedule(
     For schedule-driven instances -- above all the worst-case adversary,
     whose entire point is a fixed finite schedule realising the
     ``Omega(log n)`` bound -- the prefix is lowered *once*, eagerly, into
-    one pair of stacked ``(u, v)`` arrays plus per-round offsets; every
-    later ``to_csr`` call is an O(1) lookup, every later ``at`` call
-    reuses one graph object per prefix round.
+    one pair of stacked ``(u, v)`` arrays plus per-round offsets and
+    validated round by round, so range and self-loop errors surface
+    here; every later ``edges`` call is an O(1) lookup, every later
+    ``at`` call reuses one graph object per prefix round.
 
     Args:
         source: The dynamic graph to compile; its first ``rounds``
@@ -353,9 +364,9 @@ def precompile_schedule(
         extend=extend,
         name=name if name is not None else f"{source.name}:precompiled",
     )
-    # Eager lowering: the whole prefix is validated and CSR-built here,
-    # so the simulation loop never pays construction or validation.
+    # Eager validation: every prefix round's arrays are checked and
+    # cached here, so the simulation loop never pays for it.
     for round_no in range(rounds):
-        compiled.to_csr(round_no)
+        compiled.edges(round_no)
     counter("adjacency.precompiled_schedules")
     return compiled

@@ -20,7 +20,7 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 
-from repro.networks.csr import CSRAdjacency, graph_from_edges
+from repro.networks.csr import graph_from_edges
 from repro.networks.csr_native import DynamicGraph
 
 __all__ = [
@@ -123,9 +123,10 @@ def random_connected_graph(
 class RandomConnectedAdversary:
     """A fair adversary producing a fresh random connected graph per round.
 
-    Usable as an engine topology provider (``graph``), as a CSR-native
-    fast-backend provider (``edges``/``to_csr``), and as a
-    :class:`repro.networks.DynamicGraph` factory (:meth:`as_dynamic_graph`).
+    Usable as an engine topology provider (``graph``), as an edge-array
+    provider (``edges``), and as a :class:`repro.networks.DynamicGraph`
+    factory (:meth:`as_dynamic_graph`), which is what the fast backend
+    runs a lane on.
     Rounds are keyed by ``(seed, round)`` so executions are reproducible
     and both backends see the identical graph sequence.
     """
@@ -150,10 +151,6 @@ class RandomConnectedAdversary:
     def graph(self, round_no: int, processes: object = None) -> nx.Graph:
         """Topology-provider interface: the round's random graph."""
         return graph_from_edges(self.n, *self.edges(round_no))
-
-    def to_csr(self, round_no: int) -> CSRAdjacency:
-        """CSR-native provider interface for the fast backend."""
-        return self.as_dynamic_graph().to_csr(round_no)
 
     def as_dynamic_graph(self) -> DynamicGraph:
         """This adversary as a cached CSR-native dynamic graph.

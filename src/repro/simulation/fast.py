@@ -6,12 +6,13 @@ fidelity, but the interpreter loop dominates wall-clock time on large
 sweeps.  This module provides the *fast backend*: a second execution
 path that compiles a round into array operations.
 
-* Every lane topology exposes ``to_csr(round_no)`` (a
-  :class:`~repro.networks.DynamicGraph` or an adversary with the same
-  method): the lane adjacency comes straight from per-round edge arrays
-  as validated CSR (:mod:`repro.networks.csr`), memoized per canonical
-  round by the topology itself.  The topology's round caches and the
-  engine's lane-stack cache are LRU-bounded
+* Every lane runs on a :class:`~repro.networks.DynamicGraph` (or an
+  adversary that converts to one through ``as_dynamic_graph()``).  Each
+  round the engine reads every lane's validated edge arrays and builds
+  the whole batch's block-diagonal CSR adjacency in one pass
+  (:func:`~repro.networks.csr.csr_from_lane_edges`), memoized per tuple
+  of lane round keys, so a held or static batch builds once.  The
+  topology's edge cache and the engine's stack cache are LRU-bounded
   (``adjacency.cache_evictions`` / ``adjacency.stack_evictions``), so
   fresh-graph-per-round workloads hold O(1) adjacency memory.
 * Protocols whose per-round receive phase is an aggregation over the
@@ -59,7 +60,13 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.networks.csr import CSRAdjacency, StackCache, index_dtype_for
+from repro.networks.csr import (
+    CSRAdjacency,
+    LRUCache,
+    csr_from_lane_edges,
+    index_dtype_for,
+)
+from repro.networks.csr_native import DynamicGraph
 from repro.obs import telemetry as telemetry_mod
 from repro.obs.logger import get_logger
 from repro.obs.metrics import counter
@@ -85,6 +92,11 @@ __all__ = [
 BACKENDS = ("object", "fast")
 """The two execution backends: ``"object"`` is the per-process oracle
 engine, ``"fast"`` the vectorized batch engine of this module."""
+
+#: LRU capacity of a lane block's stacked-adjacency cache.  The key is
+#: the tuple of lane round keys, which changes at most once per round:
+#: a held batch needs one entry, a short ``cycle`` prefix a few.
+STACK_CACHE_SIZE = 32
 
 
 def resolve_backend(backend: str) -> str:
@@ -162,13 +174,11 @@ class FastLane:
     """One independent run inside a batched fast execution.
 
     Attributes:
-        topology: The lane's adversary: anything with a
-            ``to_csr(round_no)`` method returning the round's
-            :class:`~repro.networks.csr.CSRAdjacency` -- a
-            :class:`~repro.networks.DynamicGraph` or a CSR-native
-            adversary such as
+        topology: The lane's adversary: a
+            :class:`~repro.networks.DynamicGraph`, or an object with an
+            ``as_dynamic_graph()`` method returning one, such as
             :class:`~repro.networks.generators.RandomConnectedAdversary`.
-        n: Number of nodes of this lane.
+        n: Number of nodes of this lane; must equal the topology's.
         leader: Leader index within the lane (``None`` for leaderless
             protocols), mirroring the object engine's argument.
     """
@@ -323,13 +333,24 @@ _TELEMETRY_KEYS = (
 )
 
 
+def _lane_graph(index: int, lane: FastLane) -> DynamicGraph:
+    """The lane's :class:`~repro.networks.DynamicGraph`, size-checked."""
+    to_graph = getattr(lane.topology, "as_dynamic_graph", None)
+    graph = lane.topology if to_graph is None else to_graph()
+    if graph.n != lane.n:
+        raise TopologyError(
+            f"lane {index} topology has {graph.n} nodes, expected {lane.n}"
+        )
+    return graph
+
+
 class _LaneBlock:
     """One contiguous chunk of lanes, executed to completion.
 
-    Owns the chunk-local layouts (rebased to offset 0), the lane-stack
-    cache, and the matvec loop.  The monolithic run is the one-block
-    special case, so chunked and single-stack executions share every
-    line of the hot loop.
+    Owns the chunk-local layouts (rebased to offset 0), the lanes'
+    dynamic graphs, the stacked-adjacency cache, and the matvec loop.
+    The monolithic run is the one-block special case, so chunked and
+    single-stack executions share every line of the hot loop.
     """
 
     def __init__(
@@ -352,48 +373,47 @@ class _LaneBlock:
             offset = int(self._offsets[index])
             leader = None if lane.leader is None else offset + lane.leader
             self.layouts.append(LaneLayout(index, offset, lane.n, leader))
-        self._stack = StackCache()
+        if config.stop_when == "leader":
+            self._leaders = np.array(
+                [layout.leader for layout in self.layouts],
+                dtype=self._offsets.dtype,
+            )
+        self.graphs = [
+            _lane_graph(index, lane) for index, lane in enumerate(self.lanes)
+        ]
+        self._sizes = [lane.n for lane in self.lanes]
+        self._stack = LRUCache(STACK_CACHE_SIZE, "adjacency.stack_evictions")
 
     # -- adjacency ----------------------------------------------------
 
-    def _lane_adjacency(self, lane_index: int, round_no: int) -> CSRAdjacency:
-        lane = self.lanes[lane_index]
-        adjacency = lane.topology.to_csr(round_no)
-        if adjacency.n != lane.n:
+    def adjacency(self, round_no: int) -> CSRAdjacency:
+        """The round's stacked adjacency, validated once per distinct
+        tuple of lane round keys."""
+        key = tuple(graph.round_key(round_no) for graph in self.graphs)
+        cached = self._stack.get(key)
+        if cached is not None:
+            counter("adjacency.stack_hits")
+            return cached
+        adjacency, connected = csr_from_lane_edges(
+            self._sizes, [graph.edges(round_no) for graph in self.graphs]
+        )
+        if self.config.require_connected and not connected.all():
+            lane = int(np.flatnonzero(~connected)[0])
             raise TopologyError(
-                f"round {round_no}: lane {lane_index} produced {adjacency.n} "
-                f"nodes, expected {lane.n}"
-            )
-        if (
-            self.config.require_connected
-            and lane.n > 1
-            and not adjacency.connected
-        ):
-            raise TopologyError(
-                f"round {round_no}: lane {lane_index} graph is disconnected "
+                f"round {round_no}: lane {lane} graph is disconnected "
                 "but 1-interval connectivity is required"
             )
+        self._stack.put(key, adjacency)
         return adjacency
-
-    def _stacked_adjacency(self, round_no: int) -> CSRAdjacency:
-        parts = [
-            self._lane_adjacency(index, round_no)
-            for index in range(len(self.lanes))
-        ]
-        return self._stack.stack(parts)
 
     def edges_at(self, round_no: int) -> int:
         """Total edge count of the chunk's lanes at ``round_no``.
 
         Used to extend a finished chunk's telemetry over the rounds the
         batch keeps running: the monolithic stack still counts finished
-        lanes' edges every round, and a block-diagonal's edge count is
-        exactly the sum of its parts.
+        lanes' edges every round.
         """
-        return sum(
-            self._lane_adjacency(index, round_no).edges
-            for index in range(len(self.lanes))
-        )
+        return self.adjacency(round_no).edges
 
     # -- stop criteria ------------------------------------------------
 
@@ -403,9 +423,7 @@ class _LaneBlock:
         if stop_when == "budget":
             return np.zeros(len(self.lanes), dtype=bool)
         if stop_when == "leader":
-            return np.array(
-                [mask[layout.leader] for layout in self.layouts], dtype=bool
-            )
+            return mask[self._leaders]
         per_lane = np.add.reduceat(
             mask.astype(self._count_dtype), self._offsets[:-1]
         )
@@ -442,7 +460,7 @@ class _LaneBlock:
         records: dict[int, dict[str, int]] = {}
         rounds_executed = 0
         for round_no in range(config.max_rounds):
-            adjacency = self._stacked_adjacency(round_no)
+            adjacency = self.adjacency(round_no)
             active_nodes = np.repeat(lane_active, sizes)
             sending, delivered = protocol.step(
                 round_no, adjacency, active_nodes
@@ -528,7 +546,8 @@ class FastEngine:
     ``budget``), the same round accounting (a lane's terminal round is
     executed in full), the same :class:`TerminationError` on budget
     exhaustion, and the same per-round validation rules -- performed
-    once per distinct graph object through the adjacency cache.
+    once per distinct tuple of lane round keys, when the block's stacked
+    adjacency is built.
 
     Args:
         protocol: The vectorized protocol instance (one per engine).

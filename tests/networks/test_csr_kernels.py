@@ -5,12 +5,14 @@ oracles: ``np.unique`` pair keys -> COO ``sp.csr_array`` ->
 ``connected_components`` for the build, ``sp.block_diag`` for the
 stack.  The production kernels must match them bit for bit: the same
 ``indptr``/``indices``/``data`` arrays and dtypes, the same
-``connected`` flag, and the same canonical-format flags.
+``connected`` flag, and the same canonical-format flags.  The fused
+multi-lane build is in turn held to per-lane builds stacked afterwards.
 """
 
 from __future__ import annotations
 
 import re
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -20,13 +22,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from repro.networks import csr
 from repro.networks.csr import (
     csr_from_edges,
+    csr_from_lane_edges,
     index_dtype_for,
     lower_graph,
     stack_adjacencies,
     validate_edge_arrays,
 )
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.simulation.errors import TopologyError
 
 
@@ -164,3 +169,86 @@ class TestStackAdjacencies:
         )
         if len(parts) > 1:
             assert stacked.connected is None
+
+
+#: ``LABEL_MAX_ENTRIES`` values forcing each per-lane connectivity
+#: method: component labels for every stack, or the rooted BFS for every
+#: stack.
+CONNECTIVITY_METHODS = {"labels": 2**62, "rooted-bfs": 0}
+
+
+def fused_matches_stacked(cases, method: str) -> None:
+    parts = [csr_from_edges(n, u, v) for n, u, v in cases]
+    expected = stack_adjacencies(parts)
+    edges = [validate_edge_arrays(n, u, v) for n, u, v in cases]
+    with mock.patch.object(
+        csr, "LABEL_MAX_ENTRIES", CONNECTIVITY_METHODS[method]
+    ):
+        adjacency, connected = csr_from_lane_edges(
+            [n for n, _, _ in cases], edges
+        )
+    assert_same_csr(adjacency.matrix, expected.matrix)
+    assert adjacency.connected is expected.connected
+    assert connected.dtype == bool
+    assert connected.tolist() == [part.connected for part in parts]
+
+
+class TestCsrFromLaneEdges:
+    @pytest.mark.parametrize("method", sorted(CONNECTIVITY_METHODS))
+    @settings(max_examples=150, deadline=None)
+    @given(cases=st.lists(edge_arrays(max_n=12), min_size=1, max_size=16))
+    def test_matches_stacked_lane_builds(self, method, cases):
+        fused_matches_stacked(cases, method)
+
+    @pytest.mark.parametrize("method", sorted(CONNECTIVITY_METHODS))
+    @settings(max_examples=50, deadline=None)
+    @given(case=edge_arrays())
+    def test_single_lane_is_the_plain_build(self, method, case):
+        fused_matches_stacked([case], method)
+
+    @pytest.mark.parametrize("method", sorted(CONNECTIVITY_METHODS))
+    def test_isolated_and_edgeless_lanes(self, method):
+        empty = np.zeros(0, dtype=np.int64)
+        cases = [
+            (1, empty, empty),
+            (3, empty, empty),
+            (2, np.array([0, 1, 0]), np.array([1, 0, 1])),
+            (1, empty, empty),
+        ]
+        fused_matches_stacked(cases, method)
+
+    def test_large_stack_keys_do_not_overflow(self):
+        # 2 x 30,000 stacked nodes: keys reach 3.6e9, past int32, and
+        # the stack is large enough for the rooted BFS by default.
+        n = 30_000
+        path = (np.arange(n - 1), np.arange(1, n))
+        split = (np.arange(1, n - 1), np.arange(2, n))
+        fused_matches_stacked([(n, *path), (n, *split)], "rooted-bfs")
+        edges = [validate_edge_arrays(n, *path), validate_edge_arrays(n, *split)]
+        adjacency, connected = csr_from_lane_edges([n, n], edges)
+        assert adjacency.matrix.nnz >= csr.LABEL_MAX_ENTRIES
+        assert connected.tolist() == [True, False]
+
+    def test_counters(self):
+        pair = (np.array([0]), np.array([1]))
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            csr_from_lane_edges([2], [pair])
+            csr_from_lane_edges([2, 2, 2], [pair, pair, pair])
+        counters = registry.snapshot()["counters"]
+        assert counters["adjacency.builds"] == 2
+        assert counters["adjacency.native_builds"] == 2
+        assert counters["adjacency.stack_builds"] == 1
+
+    @pytest.mark.parametrize(
+        "sizes, pairs, message",
+        [
+            ([], 0, "at least one lane"),
+            ([2, 2], 1, "one edge pair per lane"),
+            ([2, 0], 2, "at least one node"),
+        ],
+    )
+    def test_bad_lane_lists_rejected(self, sizes, pairs, message):
+        pair = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match=message):
+            csr_from_lane_edges(sizes, [pair] * pairs)

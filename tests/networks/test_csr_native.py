@@ -190,10 +190,22 @@ class TestPrecompiledSchedules:
     def test_schedule_counter(self):
         registry = MetricsRegistry()
         with use_registry(registry):
-            precompile_schedule(self.source(), 2)
+            compiled = precompile_schedule(self.source(), 2)
         counters = registry.snapshot()["counters"]
         assert counters["adjacency.precompiled_schedules"] == 1
-        assert counters["adjacency.native_builds"] >= 2
+        # Eager validation read every prefix round through edges(); no
+        # CSR is built until a caller asks for one.
+        assert compiled.cache_sizes() == {"edges": 2, "csr": 0, "graphs": 0}
+        assert "adjacency.native_builds" not in counters
+
+    def test_invalid_round_rejected_at_compile_time(self):
+        def provider(round_no):
+            if round_no == 1:
+                return np.array([0, 2]), np.array([1, 2])
+            return np.array([0, 1]), np.array([1, 2])
+
+        with pytest.raises(TopologyError, match="self-loop at node"):
+            precompile_schedule(DynamicGraph(3, provider), 3)
 
 
 class TestFamilyEquivalence:

@@ -6,12 +6,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.networks.csr import (
-    StackCache,
-    lower_graph,
-    stack_adjacencies,
-)
+from repro.networks.csr import lower_graph, stack_adjacencies
 from repro.networks.csr_native import DynamicGraph
+from repro.simulation import fast
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.simulation.engine import EngineConfig
 from repro.simulation.errors import TerminationError, TopologyError
@@ -26,6 +23,10 @@ from repro.simulation.trace import TraceLevel
 
 def dyn(graphs, **kwargs):
     return DynamicGraph.from_graphs(graphs, **kwargs)
+
+
+def held(graph):
+    return dyn([graph], extend="hold")
 
 
 class Flood(VectorizedProtocol):
@@ -58,6 +59,34 @@ class Flood(VectorizedProtocol):
             for index in range(layout.n)
             if self.informed[layout.offset + index]
         }
+
+
+class Recording(Flood):
+    """Flooding that keeps every stacked adjacency it steps on."""
+
+    def __init__(self, sources):
+        super().__init__(sources)
+        self.adjacencies = []
+
+    def step(self, round_no, adjacency, active):
+        self.adjacencies.append(adjacency)
+        return super().step(round_no, adjacency, active)
+
+
+def run_lanes(lanes, rounds, protocol=None):
+    """Flood every lane for exactly ``rounds`` rounds."""
+    FastEngine(
+        protocol or Flood([0] * len(lanes)),
+        [FastLane(lane, lane.n, leader=None) for lane in lanes],
+        config=EngineConfig(stop_when="budget", max_rounds=rounds),
+    ).run()
+
+
+def run_counters(lanes, rounds):
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        run_lanes(lanes, rounds)
+    return registry.snapshot()["counters"]
 
 
 class TestLowerGraph:
@@ -123,48 +152,82 @@ class TestCaches:
         assert list(stacked.matvec(x))[2:] == [0.0, 0.0, 0.0]
 
     def test_stack_cache_hit(self):
-        cache = StackCache()
-        parts = [lower_graph(nx.path_graph(2)), lower_graph(nx.path_graph(3))]
-        assert cache.stack(parts) is cache.stack(parts)
+        # A held two-lane batch builds its stack once and then hits.
+        counters = run_counters(
+            [held(nx.path_graph(2)), held(nx.path_graph(3))], rounds=6
+        )
+        assert counters["adjacency.stack_builds"] == 1
+        assert counters["adjacency.builds"] == 1
+        assert counters["adjacency.stack_hits"] == 6 - 1
 
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError):
             stack_adjacencies([])
 
-    def test_stack_cache_is_bounded(self):
-        registry = MetricsRegistry()
-        cache = StackCache(maxsize=2)
-        parts_list = [
-            [lower_graph(nx.path_graph(2)), lower_graph(nx.path_graph(3))]
-            for _ in range(5)
-        ]
-        with use_registry(registry):
-            stacks = [cache.stack(parts) for parts in parts_list]
-        assert len(cache) == 2
-        counters = registry.snapshot()["counters"]
-        assert counters["adjacency.stack_evictions"] == 3
-        # The two most recent entries are still identity-served.
-        assert cache.stack(parts_list[-1]) is stacks[-1]
-        assert cache.stack(parts_list[-2]) is stacks[-2]
+    def test_stack_cache_is_bounded(self, monkeypatch):
+        # Three rounds cycling through an LRU of two entries: every
+        # round misses and evicts the oldest entry.
+        monkeypatch.setattr(fast, "STACK_CACHE_SIZE", 2)
+        graphs = [nx.path_graph(3), nx.star_graph(2), nx.cycle_graph(3)]
+        counters = run_counters(
+            [dyn(graphs, extend="cycle"), held(nx.path_graph(2))], rounds=9
+        )
+        assert counters["adjacency.stack_builds"] == 9
+        assert counters["adjacency.stack_evictions"] == 9 - 2
+        assert "adjacency.stack_hits" not in counters
 
-    def test_stack_cache_clear(self):
-        cache = StackCache()
-        parts = [lower_graph(nx.path_graph(2)), lower_graph(nx.path_graph(3))]
-        before = cache.stack(parts)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stack(parts) is not before
+    def test_stack_cache_is_per_run(self):
+        lanes = [held(nx.path_graph(2)), held(nx.path_graph(3))]
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            for _ in range(2):
+                run_lanes(lanes, rounds=3)
+        counters = registry.snapshot()["counters"]
+        assert counters["adjacency.stack_builds"] == 2
+        assert counters["adjacency.stack_hits"] == 2 * (3 - 1)
 
     def test_stack_cache_changed_length_is_a_miss(self):
-        # A key built from fewer lanes must never be confused with a
-        # stale longer entry (id-reuse collisions included).
-        cache = StackCache()
-        a = lower_graph(nx.path_graph(2))
-        b = lower_graph(nx.path_graph(3))
-        both = cache.stack([a, b])
-        only_a = cache.stack([a])
-        assert only_a is not both
-        assert only_a.n == 2
+        # A one-lane and a two-lane batch over the same held graph never
+        # share a stacked adjacency.
+        graph = held(nx.path_graph(2))
+        sizes = []
+        for lanes in ([graph, graph], [graph]):
+            protocol = Recording([0] * len(lanes))
+            run_lanes(lanes, 1, protocol)
+            sizes.extend(adjacency.n for adjacency in protocol.adjacencies)
+        assert sizes == [4, 2]
+
+    def test_cycle_prefix_hits(self):
+        graphs = [nx.path_graph(3), nx.star_graph(2), nx.cycle_graph(3)]
+        counters = run_counters(
+            [dyn(graphs, extend="cycle"), held(nx.path_graph(2))], rounds=9
+        )
+        assert counters["adjacency.stack_builds"] == 3
+        assert counters["adjacency.stack_hits"] == 9 - 3
+
+    def test_mixed_held_and_fresh_lanes_rebuild_every_round(self):
+        fresh = DynamicGraph(
+            3, lambda round_no: (np.array([0, 1]), np.array([1, 2]))
+        )
+        counters = run_counters([held(nx.path_graph(2)), fresh], rounds=5)
+        assert counters["adjacency.stack_builds"] == 5
+        assert "adjacency.stack_hits" not in counters
+
+    def test_fused_stack_equals_stacked_lanes(self):
+        lanes = [
+            dyn([nx.path_graph(3), nx.cycle_graph(3)]),
+            held(nx.star_graph(3)),
+        ]
+        protocol = Recording([0, 0])
+        run_lanes(lanes, 3, protocol)
+        for round_no, adjacency in enumerate(protocol.adjacencies):
+            expected = stack_adjacencies(
+                [lane.to_csr(round_no) for lane in lanes]
+            )
+            assert np.array_equal(
+                adjacency.matrix.toarray(), expected.matrix.toarray()
+            )
+            assert adjacency.connected is None
 
 
 class TestResolveBackend:
@@ -266,8 +329,30 @@ class TestFastEngine:
             [FastLane(dyn([nx.path_graph(4)]), 3, leader=None)],
             config=EngineConfig(stop_when="all", max_rounds=5),
         )
-        with pytest.raises(TopologyError):
+        with pytest.raises(
+            TopologyError, match="lane 0 topology has 4 nodes, expected 3"
+        ):
             engine.run()
+
+    @pytest.mark.parametrize("lane_nodes", [4, 2048])
+    def test_disconnected_lane_named_with_its_round(self, lane_nodes):
+        # Small stacks label components, large ones run one rooted BFS;
+        # both must name the first disconnected lane and the round.
+        path = nx.path_graph(lane_nodes)
+        split = path.copy()
+        split.remove_edge(0, 1)
+        lanes = [
+            held(path),
+            dyn([path, path, split]),
+            held(path),
+            dyn([path, path, split]),
+        ]
+        with pytest.raises(
+            TopologyError,
+            match=r"^round 2: lane 1 graph is disconnected but 1-interval "
+            "connectivity is required$",
+        ):
+            run_lanes(lanes, 5)
 
     def test_trace_level_rejected(self):
         with pytest.raises(ValueError, match="trace"):
@@ -346,7 +431,8 @@ class TestFastEngine:
             ).run()
         counters = registry.snapshot()["counters"]
         assert counters["adjacency.builds"] == 1
-        assert counters["adjacency.cache_hits"] >= 1
+        # Flooding a 6-node path from one end takes 5 rounds.
+        assert counters["adjacency.stack_hits"] == 5 - 1
 
     def test_bad_leader_index_rejected(self):
         with pytest.raises(ValueError, match="leader"):
