@@ -84,7 +84,9 @@ __all__ = [
 #: ones from one BFS out of a virtual root.  The BFS pays ~35 us to
 #: build its extended matrix, but past this size it is about 2x cheaper
 #: than the labelling (x86_64, scipy 1.17: 16 lanes x n=8, 17 us against
-#: 48 us; 2 x 65,536-node trees, 5.1 ms against 10.6 ms).
+#: 48 us; 2 x 65,536-node trees, 5.1 ms against 10.6 ms).  Either method
+#: alone loses about 2.5% of end-to-end wall time on one benchmark
+#: workload; see benchmarks/results/perfbench-lane-connectivity.json.
 LABEL_MAX_ENTRIES = 4096
 
 #: First value that no longer fits an ``int32`` index.

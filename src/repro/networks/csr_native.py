@@ -6,10 +6,11 @@ pure function ``round -> (u, v)`` *edge index arrays*, following the
 matrix-first design of connectivity models in network simulators, and
 both views the engines consume are derived from those arrays --
 
-* the CSR adjacency (:func:`repro.networks.csr.csr_from_lane_edges`)
-  feeds the fast backend directly, no ``nx.Graph`` per round -- the
-  engine reads every lane's ``edges`` and builds the whole batch's
-  stack at once, ``to_csr`` is the one-lane case;
+* the CSR adjacency feeds the fast backend directly, no ``nx.Graph``
+  per round -- the engine reads every lane's ``edges`` and builds the
+  whole batch's stack at once
+  (:func:`repro.networks.csr.csr_from_lane_edges`); ``to_csr`` is the
+  one-graph build (:func:`repro.networks.csr.csr_from_edges`);
 * the ``networkx`` view (:func:`repro.networks.csr.graph_from_edges`)
   feeds the object engine and the verification oracles.
 
@@ -47,7 +48,7 @@ import numpy as np
 from repro.networks.csr import (
     CSRAdjacency,
     LRUCache,
-    csr_from_lane_edges,
+    csr_from_edges,
     graph_from_edges,
     index_dtype_for,
     validate_edge_arrays,
@@ -209,16 +210,17 @@ class DynamicGraph:
     def to_csr(self, round_no: int) -> CSRAdjacency:
         """The round's CSR adjacency, built directly from edge arrays.
 
-        Never constructs an ``nx.Graph``; the arrays come validated
-        (index range, self-loops) from :meth:`edges` and go through the
-        batch kernel as one lane, which records connectivity.  Memoized
-        per canonical round in a bounded LRU, so held/cycled rounds
-        lower once while fresh-per-round runs stay O(1) in memory.
+        Never constructs an ``nx.Graph``; validation (index range,
+        self-loops, connectivity) runs on the arrays.  Memoized per
+        canonical round in a bounded LRU, so held/cycled rounds lower
+        once while fresh-per-round runs stay O(1) in memory.  The fast
+        engine does not call this: it builds every lane's round at once
+        from :meth:`edges`.
         """
         key = self.round_key(round_no)
         cached = self._csr_lru.get(key)
         if cached is None:
-            cached, _ = csr_from_lane_edges([self.n], [self.edges(round_no)])
+            cached = csr_from_edges(self.n, *self.edges(round_no))
             self._csr_lru.put(key, cached)
         else:
             counter("adjacency.cache_hits")
