@@ -34,9 +34,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable
-
-import numpy as np
 
 from repro.simulation.messages import Inbox
 from repro.simulation.node import Process
@@ -114,11 +113,14 @@ def solve_multiplicities(
 ) -> int | None:
     """Solve for the class multiplicities at ``level``; ``None`` if open.
 
-    Builds the anchor/refinement/balance system over every known view
-    of level at most ``level`` and accepts only a *fully determined*
-    solution: unique (full column rank), consistent (zero residual),
-    integral, positive (every known class is inhabited), and exactly
-    satisfying every constraint under integer arithmetic.
+    The anchor/refinement/balance system over every known view of
+    level at most ``level`` is solved in reduced form: substituting the
+    refinement rows turns every known class into the sum of its known
+    level-``level`` descendants, so the only unknowns are the deepest
+    classes (at most ``n`` of them).  A solution is accepted only when
+    it is *fully determined*: unique (full column rank), consistent,
+    integral and positive (every known class is inhabited), all
+    decided in exact integer arithmetic.
 
     Returns:
         The total multiplicity of the level-``level`` classes (the
@@ -129,79 +131,116 @@ def solve_multiplicities(
     for view_id, record in table.records(known):
         if record.level <= level:
             by_level.setdefault(record.level, []).append((view_id, record))
-    if level not in by_level:
+    deepest = by_level.get(level)
+    if not deepest:
         return None
-    ids = sorted(
-        view_id for entries in by_level.values() for view_id, _ in entries
-    )
-    column = {view_id: index for index, view_id in enumerate(ids)}
-    rows: list[dict[int, int]] = []
-    rhs: list[int] = []
+    width = len(deepest)
+    # Refinement substitution: span[c] lists the unknowns (deepest
+    # classes) whose sum is class c.  Spans of distinct classes of one
+    # level are disjoint, since views only ever split.
+    span: dict[int, list[int]] = {
+        view_id: [index] for index, (view_id, _record) in enumerate(deepest)
+    }
+    for t in range(level - 1, -1, -1):
+        parents = by_level.get(t, [])
+        for parent_id, _record in parents:
+            span[parent_id] = []
+        for child_id, child in by_level.get(t + 1, []):
+            if child.parent in span:
+                span[child.parent].extend(span[child_id])
+        if any(not span[parent_id] for parent_id, _record in parents):
+            return None  # a class with no known descendant is forced to 0
+
+    rows: dict[tuple[int, ...], None] = {}  # insertion-ordered set
+
+    def add_row(terms: Iterable[tuple[int, int]], rhs: int) -> None:
+        row = [0] * (width + 1)
+        for view_id, coefficient in terms:
+            for index in span[view_id]:
+                row[index] += coefficient
+        row[width] = rhs
+        rows[tuple(row)] = None
 
     for t in range(level + 1):
-        anchor_row = {
-            column[view_id]: 1
-            for view_id, record in by_level.get(t, [])
-            if record.marked
-        }
-        rows.append(anchor_row)
-        rhs.append(anchor_total)
-
+        add_row(
+            (
+                (view_id, 1)
+                for view_id, record in by_level.get(t, [])
+                if record.marked
+            ),
+            anchor_total,
+        )
     for t in range(level):
-        children = by_level.get(t + 1, [])
-        for parent_id, _record in by_level.get(t, []):
-            row = {column[parent_id]: 1}
-            for child_id, child in children:
-                if child.parent == parent_id:
-                    row[column[child_id]] = row.get(column[child_id], 0) - 1
-            rows.append(row)
-            rhs.append(0)
         # Edge balance: round-t adjacencies between classes A and B,
         # counted from both sides through their level-(t+1) children.
-        incidence: dict[tuple[int, int], dict[int, int]] = {}
-        for child_id, child in children:
-            if child.parent is None:
-                continue
+        incidence: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for child_id, child in by_level.get(t + 1, []):
             for neighbour_id, count in child.inbox:
-                incidence.setdefault((child.parent, neighbour_id), {})[
-                    child_id
-                ] = count
+                incidence.setdefault((child.parent, neighbour_id), []).append(
+                    (child_id, count)
+                )
         for (side_a, side_b), from_a in sorted(incidence.items()):
             if side_a >= side_b:
                 continue  # each unordered pair once; A == B is trivial
-            row: dict[int, int] = {}
-            for child_id, count in from_a.items():
-                row[column[child_id]] = row.get(column[child_id], 0) + count
-            for child_id, count in incidence.get((side_b, side_a), {}).items():
-                row[column[child_id]] = row.get(column[child_id], 0) - count
-            rows.append(row)
-            rhs.append(0)
+            from_b = incidence.get((side_b, side_a), [])
+            add_row(
+                from_a + [(child_id, -count) for child_id, count in from_b], 0
+            )
 
-    matrix = np.zeros((len(rows), len(ids)), dtype=np.float64)
-    for row_index, row in enumerate(rows):
-        for col, coefficient in row.items():
-            matrix[row_index, col] = coefficient
-    vector = np.asarray(rhs, dtype=np.float64)
-    if np.linalg.matrix_rank(matrix) < len(ids):
-        return None  # underdetermined: some multiplicity is still free
-    solution = np.linalg.lstsq(matrix, vector, rcond=None)[0]
-    rounded = np.rint(solution)
-    if np.max(np.abs(solution - rounded)) > 1e-6:
-        return None
-    counts = [int(value) for value in rounded]
-    if any(value < 1 for value in counts):
+    counts = _solve_exact(list(rows), width)
+    if counts is None or any(value < 1 for value in counts):
         return None  # every known class is inhabited by a real node
-    residual = matrix @ rounded - vector
-    if np.max(np.abs(residual)) > 1e-6:
-        return None
-    # Exact integer re-check: float round-off must not certify a wrong
-    # solution, so every constraint is re-evaluated in integer math.
-    for row, target in zip(rows, rhs):
-        if sum(coefficient * counts[col] for col, coefficient in row.items()) != target:
+    for row in rows:
+        if sum(c * x for c, x in zip(row, counts)) != row[width]:
             return None
-    return sum(
-        counts[column[view_id]] for view_id, _record in by_level[level]
-    )
+    return sum(counts)
+
+
+def _solve_exact(
+    rows: list[tuple[int, ...]], width: int
+) -> list[int] | None:
+    """The unique integer solution of ``rows`` (``[coefficients..., rhs]``).
+
+    Fraction-free, gcd-normalised echelon elimination in Python ints,
+    stopping as soon as the rank reaches ``width``; ``None`` when the
+    system is rank-deficient, when a row reduces to ``0 = rhs != 0``,
+    or when the unique solution is not integral.  Rows left unreduced
+    after full rank are *not* checked here: the caller checks every row
+    against the returned solution.
+    """
+    pivots: list[tuple[int, list[int]]] = []
+    for original in rows:
+        row = list(original)
+        for col, pivot in pivots:
+            factor = row[col]
+            if factor:
+                lead = pivot[col]
+                row = [lead * a - factor * b for a, b in zip(row, pivot)]
+        col = next((c for c in range(width) if row[c]), None)
+        if col is None:
+            if row[width]:
+                return None  # inconsistent: 0 == rhs != 0
+            continue
+        divisor = gcd(*row)
+        if divisor > 1:
+            row = [value // divisor for value in row]
+        pivots.append((col, row))
+        if len(pivots) == width:
+            break
+    if len(pivots) < width:
+        return None  # underdetermined: some multiplicity is still free
+    # Pivot k is zero in the columns of every earlier pivot, so solving
+    # from the last pivot back only ever reads columns already solved.
+    solution = [0] * width
+    for col, pivot in reversed(pivots):
+        numerator = pivot[width] - sum(
+            c * x for c, x in zip(pivot[:width], solution)
+        )
+        value, remainder = divmod(numerator, pivot[col])
+        if remainder:
+            return None  # the unique solution is not integral
+        solution[col] = value
+    return solution
 
 
 class HistoryProcess(Process):

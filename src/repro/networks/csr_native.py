@@ -22,8 +22,8 @@ oracle (CSR-native lowering == networkx adjacency, every family).
 Pieces:
 
 * :class:`DynamicGraph` -- a dynamic graph built from an edge provider;
-  ``to_csr`` never touches networkx, and its per-round caches are
-  LRU-bounded so fresh-graph-per-round runs hold O(1) memory.
+  ``to_csr`` never touches networkx, and its per-round edge and graph
+  caches are LRU-bounded so fresh-graph-per-round runs hold O(1) memory.
 * :meth:`DynamicGraph.from_graphs` -- an explicit finite prefix of
   ``networkx`` graphs with a ``hold``/``cycle``/``strict`` extension.
 * :func:`precompile_schedule` -- lower a finite schedule prefix (e.g. a
@@ -69,7 +69,7 @@ EdgeArrays = tuple[np.ndarray, np.ndarray]
 EdgeProvider = Callable[[int], tuple[np.ndarray, np.ndarray]]
 """An edge-array provider: ``round_no -> (u, v)`` index arrays."""
 
-#: Default LRU capacity of the per-round edge/CSR caches.  Must cover
+#: Default LRU capacity of the per-round edge/graph caches.  Must cover
 #: at least the working set of one batched execution (all lanes touch
 #: the same round number before moving on), which one entry already
 #: does; the slack keeps short hold/cycle prefixes fully resident.
@@ -100,7 +100,7 @@ class DynamicGraph:
             one cache entry (and, for the object view, one graph object,
             which keeps the engines' per-object validation memos
             effective).
-        cache_rounds: LRU capacity of the per-round edge, CSR and graph
+        cache_rounds: LRU capacity of the per-round edge and graph
             caches (evictions are counted in
             ``adjacency.cache_evictions``).
     """
@@ -121,7 +121,6 @@ class DynamicGraph:
         self._edge_provider = edge_provider
         self._round_key = round_key
         self._edge_lru = LRUCache(cache_rounds, "adjacency.cache_evictions")
-        self._csr_lru = LRUCache(cache_rounds, "adjacency.cache_evictions")
         self._nx_lru = LRUCache(cache_rounds, "adjacency.cache_evictions")
 
     @classmethod
@@ -174,7 +173,6 @@ class DynamicGraph:
         """Resident entries per internal cache (diagnostics, leak tests)."""
         return {
             "edges": len(self._edge_lru),
-            "csr": len(self._csr_lru),
             "graphs": len(self._nx_lru),
         }
 
@@ -205,26 +203,17 @@ class DynamicGraph:
             self._edge_lru.put(key, cached)
         return cached
 
-    # -- the CSR view (fast backend) ----------------------------------
+    # -- the CSR view (verification oracle) ---------------------------
 
     def to_csr(self, round_no: int) -> CSRAdjacency:
         """The round's CSR adjacency, built directly from edge arrays.
 
         Never constructs an ``nx.Graph``; validation (index range,
-        self-loops, connectivity) runs on the arrays.  Memoized per
-        canonical round in a bounded LRU, so held/cycled rounds lower
-        once while fresh-per-round runs stay O(1) in memory.  The fast
-        engine does not call this: it builds every lane's round at once
-        from :meth:`edges`.
+        self-loops, connectivity) runs on the arrays.  Not memoized:
+        only the verification oracle and tests call this -- the fast
+        engine builds every lane's round at once from :meth:`edges`.
         """
-        key = self.round_key(round_no)
-        cached = self._csr_lru.get(key)
-        if cached is None:
-            cached = csr_from_edges(self.n, *self.edges(round_no))
-            self._csr_lru.put(key, cached)
-        else:
-            counter("adjacency.cache_hits")
-        return cached
+        return csr_from_edges(self.n, *self.edges(round_no))
 
     # -- the networkx view (object engine, oracles) -------------------
 

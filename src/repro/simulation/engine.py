@@ -29,7 +29,7 @@ from repro.simulation.errors import (
     TopologyError,
     sorted_labels,
 )
-from repro.simulation.messages import Inbox
+from repro.simulation.messages import Inbox, canonical_sort_key
 from repro.simulation.node import Process
 from repro.simulation.trace import RoundRecord, SimulationTrace, TraceLevel
 
@@ -311,15 +311,26 @@ class SynchronousEngine:
             payloads.append(payload)
 
         # Receive phase: deliver each neighbour's payload anonymously.
+        # Each payload is keyed once per round, not once per delivery; a
+        # stable sort of the neighbour indices by those keys yields the
+        # same order as ``Inbox(...)`` sorting the payloads themselves.
+        keys = [
+            None if payload is None else canonical_sort_key(payload)
+            for payload in payloads
+        ]
         delivered = 0
         deliveries: dict[int, Any] | None = (
             {} if trace.level >= TraceLevel.FULL else None
         )
         for index, process in enumerate(self.processes):
-            inbox = Inbox(
-                payloads[neighbour]
+            senders = [
+                neighbour
                 for neighbour in graph.neighbors(index)
-                if payloads[neighbour] is not None
+                if keys[neighbour] is not None
+            ]
+            senders.sort(key=keys.__getitem__)
+            inbox = Inbox._from_sorted(
+                tuple(payloads[neighbour] for neighbour in senders)
             )
             delivered += len(inbox)
             if deliveries is not None:

@@ -66,6 +66,18 @@ class Inbox:
             sorted(payloads, key=canonical_sort_key)
         )
 
+    @classmethod
+    def _from_sorted(cls, payloads: tuple[Any, ...]) -> "Inbox":
+        """Wrap ``payloads`` already in canonical order (engine use only).
+
+        The engine keys each sender's payload once per round and sorts
+        every receiver's neighbours by those keys; the result must equal
+        ``Inbox(payloads)`` tuple for tuple.
+        """
+        inbox = cls.__new__(cls)
+        inbox._payloads = payloads
+        return inbox
+
     def __iter__(self) -> Iterator[Any]:
         return iter(self._payloads)
 

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import pickle
 from collections import Counter
 from fractions import Fraction
 
+import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.simulation.engine import EngineConfig, SynchronousEngine
 from repro.simulation.messages import (
     Inbox,
     LabeledInbox,
     canonical_sort_key,
     ensure_hashable,
 )
+from repro.simulation.node import Process
 
 
 class TestInbox:
@@ -56,6 +61,80 @@ class TestInbox:
         inbox1 = Inbox([frozenset({1, 2}), frozenset({3})])
         inbox2 = Inbox([frozenset({3}), frozenset({2, 1})])
         assert inbox1 == inbox2
+
+
+# Small value ranges so that distinct senders often share a payload (and
+# hence a key): the engine's stable sort must then keep neighbour order.
+hashable_payloads = st.recursive(
+    st.none() | st.integers(-3, 3) | st.fractions(max_denominator=3),
+    lambda inner: st.tuples(inner, inner) | st.frozensets(inner, max_size=3),
+    max_leaves=6,
+)
+payloads = hashable_payloads | st.dictionaries(
+    hashable_payloads, hashable_payloads, max_size=3
+)
+
+
+class Broadcaster(Process):
+    """Sends one fixed payload and keeps the inbox it is delivered."""
+
+    def __init__(self, payload):
+        self.payload = payload
+        self.inbox = None
+
+    def compose(self, round_no):
+        return self.payload
+
+    def deliver(self, round_no, inbox):
+        self.inbox = inbox
+
+    def output(self):
+        return None
+
+
+class TestEngineBuiltInbox:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pool=st.lists(payloads, min_size=1, max_size=4),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+        cut=st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7))),
+    )
+    def test_equals_inbox_constructor(self, pool, picks, cut):
+        # Senders share payload *values* from a small pool but hold
+        # distinct copies, so ties between equal keys are common and the
+        # identity check below sees their order.
+        sent = [pickle.loads(pickle.dumps(pool[i % len(pool)])) for i in picks]
+        n = len(sent)
+        graph = nx.complete_graph(n)
+        graph.remove_edges_from(cut)
+        processes = [Broadcaster(payload) for payload in sent]
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            SynchronousEngine(
+                processes,
+                lambda round_no: graph,
+                leader=None,
+                config=EngineConfig(
+                    max_rounds=1, stop_when="budget", require_connected=False
+                ),
+            ).run()
+        delivered = 0
+        for index, process in enumerate(processes):
+            expected = Inbox(
+                sent[neighbour]
+                for neighbour in graph.neighbors(index)
+                if sent[neighbour] is not None
+            )
+            got = process.inbox.as_tuple()
+            assert got == expected.as_tuple()
+            # Tuple for tuple: the same objects, in the same order.
+            assert [id(p) for p in got] == [id(p) for p in expected]
+            delivered += len(got)
+        counters = registry.snapshot()["counters"]
+        assert counters.get("engine.messages_delivered", 0) == delivered
+        assert counters.get("engine.messages_sent", 0) == sum(
+            payload is not None for payload in sent
+        )
 
 
 class TestLabeledInbox:
