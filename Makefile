@@ -144,20 +144,24 @@ verify-smoke:
 
 # Algorithm-zoo gate: a small upper-vs-lower sweep on both backends
 # (every check must pass: count == n exactly, never below the
-# Theorem 1 horizon) plus a fixed-seed run of the counting suite
-# (correctness + object-vs-fast drain differentials).  Counterexample
-# fixtures land in .repro-zoo-verify/ for CI to archive on failure.
+# Theorem 1 horizon; the fast run's table and checks must equal the
+# object run's, timing note aside, so a fused-batch divergence fails
+# here) plus a fixed-seed run of the counting suite (correctness +
+# object-vs-fast drain differentials).  Counterexample fixtures land
+# in .repro-zoo-verify/ for CI to archive on failure.
 zoo-smoke:
-	@rm -rf .repro-zoo-verify .zoo-smoke.out
+	@rm -rf .repro-zoo-verify .zoo-smoke.out .zoo-smoke-fast.out .zoo-smoke-object.txt
 	$(PYTHON) -m repro run upper-vs-lower --param "sizes=(3,5)" \
 		| tee .zoo-smoke.out
 	grep -q "memoryless_random_dv_exact: PASS" .zoo-smoke.out
 	! grep -q "FAIL" .zoo-smoke.out
 	$(PYTHON) -m repro run upper-vs-lower --param "sizes=(3,5)" \
-		--backend fast > /dev/null
+		--backend fast > .zoo-smoke-fast.out
+	grep -v "^note: timing:" .zoo-smoke.out > .zoo-smoke-object.txt
+	grep -v "^note: timing:" .zoo-smoke-fast.out | diff .zoo-smoke-object.txt -
 	$(PYTHON) -m repro verify --suite counting --fuzz 40 --seed 0 \
 		--fixtures-dir .repro-zoo-verify
-	@rm -f .zoo-smoke.out
+	@rm -f .zoo-smoke.out .zoo-smoke-fast.out .zoo-smoke-object.txt
 
 # Experiment-service smoke: validate the example scenarios, start the
 # HTTP service, submit the same scenario twice, and prove the second

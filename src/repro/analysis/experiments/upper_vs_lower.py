@@ -13,13 +13,25 @@ the paper's open "cost of anonymity" band, made measurable.
 Every algorithm must also be *correct* (``count == n``) on every cell;
 the drain-based algorithms run on the selected backend (their fast
 path is bit-identical), the history-tree ones are object-engine only.
+
+Each runner takes one size's family networks at once.  On the fast
+backend a drain counter runs them as one fused batch (one engine run
+per size and counter, not per network); batching per size rather than
+across sizes keeps lanes of equal ``n`` together, which stop in the
+same round, so no finished lane is carried through extra rounds.  The
+object backend stays the per-network oracle.
 """
 
 from __future__ import annotations
 
 from repro.analysis.registry import ExperimentResult
 from repro.core.counting.diluna_viglietta import count_diluna_viglietta
-from repro.core.counting.drain import count_chakraborty_mm, count_milani_mosteiro
+from repro.core.counting.drain import (
+    count_chakraborty_mm,
+    count_chakraborty_mm_batch,
+    count_milani_mosteiro,
+    count_milani_mosteiro_batch,
+)
 from repro.core.counting.kowalski_mosteiro import count_kowalski_mosteiro
 from repro.core.lowerbound.bounds import theorem1_bound
 from repro.networks.csr_native import DynamicGraph
@@ -29,30 +41,43 @@ from repro.networks.generators.t_interval import t_interval_network
 
 __all__ = ["upper_vs_lower"]
 
+
+def _drain(networks, backend, single, batch):
+    """One fused fast batch, or the object oracle network by network."""
+    if backend == "fast":
+        return batch(networks)
+    return [single(network, backend=backend) for network in networks]
+
+
 #: The zoo, in presentation order.  Each entry maps the column label to
-#: a runner ``f(network, backend) -> CountingOutcome``; history-tree
-#: algorithms ignore the backend (they do not vectorize).
+#: a runner ``f(networks, backend) -> [CountingOutcome, ...]`` over one
+#: size's family networks; history-tree algorithms ignore the backend
+#: (they do not vectorize).  The counters are looked up when a runner
+#: is called, so wrapping a module attribute (tracing, tests) reaches it.
 _ALGORITHMS = (
     (
         "DV",
-        lambda network, backend: count_diluna_viglietta(network),
+        lambda networks, backend: [
+            count_diluna_viglietta(network) for network in networks
+        ],
     ),
     (
         "KM(l=2)",
-        lambda network, backend: count_kowalski_mosteiro(
-            network, supervisors=2
-        ),
+        lambda networks, backend: [
+            count_kowalski_mosteiro(network, supervisors=2)
+            for network in networks
+        ],
     ),
     (
         "MM",
-        lambda network, backend: count_milani_mosteiro(
-            network, backend=backend
+        lambda networks, backend: _drain(
+            networks, backend, count_milani_mosteiro, count_milani_mosteiro_batch
         ),
     ),
     (
         "CMM",
-        lambda network, backend: count_chakraborty_mm(
-            network, backend=backend
+        lambda networks, backend: _drain(
+            networks, backend, count_chakraborty_mm, count_chakraborty_mm_batch
         ),
     ),
 )
@@ -104,10 +129,15 @@ def upper_vs_lower(
     above = dict(exact)
     for n in sizes:
         horizon = theorem1_bound(n)
-        for family, network in _families(n, seed, t_window).items():
+        networks = _families(n, seed, t_window)
+        outcomes = {
+            label: runner(list(networks.values()), backend)
+            for label, runner in _ALGORITHMS
+        }
+        for index, family in enumerate(networks):
             row = {"family": family, "n": n, "thm1 horizon": horizon}
-            for label, runner in _ALGORITHMS:
-                outcome = runner(network, backend)
+            for label, _runner in _ALGORITHMS:
+                outcome = outcomes[label][index]
                 row[f"{label} round"] = outcome.output_round
                 exact[(family, label)] &= outcome.count == n
                 above[(family, label)] &= outcome.output_round >= horizon

@@ -26,7 +26,10 @@ This module owns that lowering:
   lanes' validated edge arrays in one pass, so the batch executes as
   one fused matvec per round;
 * :func:`stack_adjacencies` -- block-diagonal stacking of already built
-  lane adjacencies (the reference the fused build is tested against).
+  lane adjacencies (the reference the fused build is tested against);
+* :func:`component_labels` -- undirected component labels of one edge
+  set, numbered as scipy's undirected labelling, for the generators
+  that repair connectivity.
 
 Every adjacency comes out of one edges->CSR kernel: directed keys
 ``row * n + col`` for both orientations, sorted once (``np.unique``
@@ -70,6 +73,7 @@ from repro.simulation.errors import TopologyError, sorted_labels
 __all__ = [
     "CSRAdjacency",
     "LRUCache",
+    "component_labels",
     "csr_from_edges",
     "csr_from_lane_edges",
     "graph_from_edges",
@@ -320,7 +324,14 @@ def _lane_csr(
     ``u``/``v`` are valid endpoints on the stacked node axis, lane ``i``
     spanning ``[offsets[i], offsets[i + 1])``.
     """
-    n = int(offsets[-1])
+    matrix = _symmetric_csr(int(offsets[-1]), u, v)
+    connected = _lane_connectivity(matrix, offsets)
+    single = bool(connected[0]) if connected.size == 1 else None
+    return CSRAdjacency(matrix, connected=single), connected
+
+
+def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray) -> sp.csr_array:
+    """The canonical symmetric unit-weight ``n x n`` CSR of edges ``(u, v)``."""
     # Keys stay int64 whatever the storage dtype: ``row * n + col``
     # reaches ~n^2, which overflows int32 from n ~ 46341.
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
@@ -335,9 +346,31 @@ def _lane_csr(
         (np.ones(cols.size), cols.astype(dtype), indptr), shape=(n, n)
     )
     matrix.has_canonical_format = True
-    connected = _lane_connectivity(matrix, offsets)
-    single = bool(connected[0]) if connected.size == 1 else None
-    return CSRAdjacency(matrix, connected=single), connected
+    return matrix
+
+
+def component_labels(
+    n: int, u: np.ndarray, v: np.ndarray
+) -> tuple[int, np.ndarray]:
+    """Connected components of the undirected graph ``(u, v)`` on ``n`` nodes.
+
+    Returns ``(count, labels)`` exactly as scipy's
+    ``connected_components(..., directed=False)`` numbers them: labels
+    in ``[0, count)``, ordered by each component's smallest node.  The
+    symmetric CSR comes straight from the edges->CSR kernel, so no COO
+    matrix is built.  On a symmetric matrix every strong component is
+    an undirected one, and scipy's strong labelling tries roots in node
+    order and numbers each component as its root finishes, which is
+    that same smallest-node order; ``tests/networks/
+    test_component_labels.py`` holds it to the undirected labelling.
+
+    The edge arrays must be valid endpoints in ``{0..n-1}``; they are
+    not checked here.
+    """
+    count, labels = connected_components(
+        _symmetric_csr(n, u, v), directed=True, connection="strong"
+    )
+    return int(count), labels
 
 
 def _lane_connectivity(matrix: sp.csr_array, offsets: np.ndarray) -> np.ndarray:

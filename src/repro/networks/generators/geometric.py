@@ -17,9 +17,8 @@ by the :class:`~repro.networks.DynamicGraph` that wraps the walk.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
 
+from repro.networks.csr import component_labels
 from repro.networks.csr_native import DynamicGraph
 
 __all__ = ["RandomWaypointDynamicGraph", "random_waypoint_network"]
@@ -102,12 +101,11 @@ class RandomWaypointDynamicGraph:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Shortcut edges joining the components along their closest
         pairs, in insertion order, each as ``(smaller, larger)``."""
-        adjacency = coo_array((np.ones(u.size), (u, v)), shape=(n, n))
-        count, labels = connected_components(adjacency, directed=False)
+        count, labels = component_labels(n, u, v)
+        # Labels follow each component's smallest node; the merges
+        # below relabel, so freeze that order first.
+        rank = labels.copy()
         nodes = np.arange(n)
-        first = np.full(count, n)
-        np.minimum.at(first, labels, nodes)
-        rank = first[labels]
         shortcuts = []
         while count > 1:
             base = labels == labels[0]

@@ -15,16 +15,18 @@ node pairs, advanced with vectorized draws and stored bit-packed
 (``np.packbits``: one byte per eight pairs per round), and rounds are
 served as ``(u, v)`` edge arrays.  Repair edges join the chain state, so
 -- as before -- a repaired edge persists with probability ``1 - p_down``.
+The repair labels components with
+:func:`repro.networks.csr.component_labels`, straight from the present
+pairs with no COO matrix; its labels are numbered by smallest node, as
+the representatives' order (and so every edge array) requires.
 """
 
 from __future__ import annotations
 
 import networkx as nx
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
-from repro.networks.csr import graph_from_edges
+from repro.networks.csr import component_labels, graph_from_edges
 from repro.networks.csr_native import DynamicGraph
 
 __all__ = ["EdgeMarkovDynamicGraph", "edge_markov_network"]
@@ -76,12 +78,8 @@ class EdgeMarkovDynamicGraph:
     ) -> None:
         """Chain-connect the components with random edges (in place)."""
         n = self.n
-        u, v = self._pair_u[present], self._pair_v[present]
-        adjacency = sp.coo_array(
-            (np.ones(u.size, dtype=np.int8), (u, v)), shape=(n, n)
-        )
-        count, labels = connected_components(
-            adjacency, directed=False, return_labels=True
+        count, labels = component_labels(
+            n, self._pair_u[present], self._pair_v[present]
         )
         if count <= 1:
             return

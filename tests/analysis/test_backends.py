@@ -52,6 +52,20 @@ BACKEND_EXPERIMENTS: dict[str, dict] = {
     "upper-vs-lower": {"sizes": (3, 5)},
 }
 
+# Fast-engine work an experiment must do with the parameters above.
+# upper-vs-lower fuses each size's three family networks into one batch
+# per drain counter: 2 sizes x 2 counters, and one 3-lane stack build
+# per fused round (32 + 32 + 74 + 104 rounds).  One batch per network
+# would make 12 batches and 726 single-lane builds.
+FAST_COUNTERS: dict[str, dict[str, int]] = {
+    "upper-vs-lower": {
+        "engine.fast.batches": 4,
+        "engine.fast.fused_rounds": 242,
+        "adjacency.builds": 242,
+        "adjacency.stack_builds": 242,
+    },
+}
+
 
 def network_for(n, seed):
     return RandomConnectedAdversary(n, seed=seed).as_dynamic_graph()
@@ -234,7 +248,11 @@ class TestExperimentEquivalence:
     def test_fast_matches_object(self, experiment):
         params = BACKEND_EXPERIMENTS[experiment]
         object_result = run_experiment(experiment, **params)
-        fast_result = run_experiment(experiment, backend="fast", **params)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            fast_result = run_experiment(experiment, backend="fast", **params)
+        for name, expected in FAST_COUNTERS.get(experiment, {}).items():
+            assert registry.value(name) == expected, name
         assert object_result.checks == fast_result.checks
         assert object_result.passed and fast_result.passed
         rows_equivalent(object_result.rows, fast_result.rows)

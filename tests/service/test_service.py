@@ -17,7 +17,7 @@ from repro.obs.jsonl import read_jsonl
 from repro.obs.metrics import get_registry
 from repro.obs.trace import read_events, stitch
 from repro.scenarios import Scenario
-from repro.service import JobManager, ReproService, ServiceClient, ServiceError
+from repro.service import JobManager, ReproService, ServiceClient, ServiceError, jobs
 
 #: A scenario small enough for in-test execution.
 SMOKE = {
@@ -122,6 +122,52 @@ class TestJobManager:
             # The worker thread is still alive and takes the next job.
             ok = manager.submit(Scenario.from_dict(SMOKE))
             assert manager.wait(ok["job"], timeout_s=120).state == "completed"
+        finally:
+            manager.shutdown()
+
+    @staticmethod
+    def assert_worker_survives(manager, scenario, error_type):
+        """``scenario``'s job fails with ``error_type``, is counted, and the
+        worker then completes a normal job."""
+        failed = get_registry().value("service.jobs.failed")
+        submission = manager.submit(scenario)
+        job = manager.wait(submission["job"], timeout_s=120)
+        assert job.state == "failed"
+        assert job.error.startswith(f"{error_type}: ")
+        assert get_registry().value("service.jobs.failed") == failed + 1
+        ok = manager.submit(Scenario.from_dict(SMOKE))
+        assert manager.wait(ok["job"], timeout_s=120).state == "completed"
+
+    def test_worker_survives_exception_at_runtime(self, tmp_path, monkeypatch):
+        real_run = jobs.run_scenario
+        calls = []
+
+        def run_once_failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("sweep died mid-job")
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(jobs, "run_scenario", run_once_failing)
+        manager = JobManager(tmp_path / "state")
+        try:
+            self.assert_worker_survives(
+                manager, Scenario.from_dict(SMOKE), "RuntimeError"
+            )
+        finally:
+            manager.shutdown()
+        assert len(calls) == 2
+
+    def test_worker_survives_journal_open_failure(self, tmp_path):
+        manager = JobManager(tmp_path / "state")
+        try:
+            doomed = Scenario.from_dict({**SMOKE, "name": "doomed"})
+            journal = (
+                manager.cache_dir
+                / f"scenario-{doomed.digest()}.journal.jsonl"
+            )
+            journal.mkdir(parents=True)  # opening it for append must fail
+            self.assert_worker_survives(manager, doomed, "IsADirectoryError")
         finally:
             manager.shutdown()
 
