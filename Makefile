@@ -70,14 +70,15 @@ bench-dynamic-smoke:
 bench-scale-smoke:
 	$(PYTHON) benchmarks/bench_scale.py --quick
 
-# Benchmark self-check: the perfbench unit tests, then short untraced
-# runs of the two fresh-topology workloads, which exit 1 on any failed
-# output check (flood rounds == reference, drain counts == n, exact
-# counters repeating across operations).
+# Benchmark self-check: short untraced runs of the two fresh-topology
+# workloads, which exit 1 on any failed output check (flood rounds ==
+# reference, drain counts == n, exact counters repeating across
+# operations), then the perfbench unit tests.  The runs come first so a
+# failing unit test cannot keep them from running.
 perfbench-smoke:
-	$(PYTHON) -m pytest -q perfbench/tests
 	$(PYTHON) perfbench/run.py --workload flood-fresh --seed 1 --seconds 3 --trace 0
 	$(PYTHON) perfbench/run.py --workload drain-lanes --seed 1 --seconds 3 --trace 0
+	$(PYTHON) -m pytest -q perfbench/tests
 
 # Sharded-sweep smoke: the same report split as two disjoint shards
 # with separate caches, journals folded by `repro merge-journals`,

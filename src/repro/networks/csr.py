@@ -29,7 +29,11 @@ This module owns that lowering:
   lane adjacencies (the reference the fused build is tested against);
 * :func:`component_labels` -- undirected component labels of one edge
   set, numbered as scipy's undirected labelling, for the generators
-  that repair connectivity.
+  that repair connectivity;
+* :func:`validate_lane_edges` -- the model checks on edge arrays
+  (integer endpoints in range, no self-loops) over several lanes
+  stacked end to end, run once for the stack and naming the offending
+  lane; :func:`validate_edge_arrays` is its one-lane case.
 
 Every adjacency comes out of one edges->CSR kernel: directed keys
 ``row * n + col`` for both orientations, sorted once (``np.unique``
@@ -81,6 +85,7 @@ __all__ = [
     "lower_graph",
     "stack_adjacencies",
     "validate_edge_arrays",
+    "validate_lane_edges",
 ]
 
 #: Multi-lane stacks with fewer stored entries than this get their
@@ -208,39 +213,149 @@ def validate_edge_arrays(
     """Validate ``(u, v)`` edge index arrays against the engine's model.
 
     The array analogue of the checks :func:`lower_graph` performs on an
-    ``nx.Graph``: endpoints must lie in ``{0..n-1}`` and no edge may be
-    a self-loop.  Returns the arrays coerced to 1-D
-    ``index_dtype_for(n)`` (``int32`` for every realistic ``n``).
+    ``nx.Graph``: endpoints must be integer node indices in
+    ``{0..n-1}`` and no edge may be a self-loop.  Returns the arrays
+    coerced to 1-D ``index_dtype_for(n)`` (``int32`` for every
+    realistic ``n``).  The one-lane case of
+    :func:`validate_lane_edges`.
 
     Raises:
-        TopologyError: Endpoint out of range, self-loop, or shape
-            mismatch between the two arrays.
+        TopologyError: Boolean or non-integer endpoint, endpoint out of
+            range, self-loop, or shape mismatch between the two arrays.
     """
-    # Validate in int64 (narrowing first would wrap out-of-range
-    # endpoints past the range check), store in the policy dtype.
-    u = np.asarray(u, dtype=np.int64).reshape(-1)
-    v = np.asarray(v, dtype=np.int64).reshape(-1)
-    if u.shape != v.shape:
+    u, v = _endpoint_array(u), _endpoint_array(v)
+    return _validated((n,), u, v, (0, u.size), None)
+
+
+def validate_lane_edges(
+    sizes: Sequence[int],
+    u: np.ndarray,
+    v: np.ndarray,
+    bounds: Sequence[int],
+    *,
+    lanes: Sequence[int] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate several lanes' edge arrays, stacked end to end, at once.
+
+    Lane ``i`` owns entries ``bounds[i]:bounds[i + 1]`` of ``u`` and
+    ``v``; its endpoints are local node indices, checked against
+    ``{0..sizes[i]-1}``.  Endpoints must be integers (booleans and
+    fractional floats are refused; integral floats, such as the float64
+    of an empty list, pass) and no edge may be a self-loop.  The checks
+    run once over the stack, whatever the lane count.  Returns the
+    stacked arrays as 1-D ``index_dtype_for(max(sizes))``.
+
+    Args:
+        sizes: Node count of every lane.
+        u: Stacked edge source indices.
+        v: Stacked edge target indices, same length as ``u``.
+        bounds: ``len(sizes) + 1`` offsets of the lanes into ``u``/``v``.
+        lanes: The lanes' labels in error messages (default their
+            positions).  With several lanes every message names the
+            offending lane; with one it reads as
+            :func:`validate_edge_arrays`'s.
+
+    Raises:
+        TopologyError: As :func:`validate_edge_arrays`, or when
+            ``bounds`` does not cover the arrays.
+    """
+    u, v = _endpoint_array(u), _endpoint_array(v)
+    return _validated(sizes, u, v, bounds, lanes)
+
+
+def _validated(sizes, u, v, bounds, lanes) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`validate_lane_edges` on arrays :func:`_endpoint_array` made."""
+    if u.size != v.size:
         raise TopologyError(
             f"edge arrays disagree in length ({u.size} vs {v.size})"
         )
+    if int(bounds[-1]) != u.size:
+        raise TopologyError(
+            f"lane bounds cover {int(bounds[-1])} edges, the arrays "
+            f"hold {u.size}"
+        )
     if u.size:
-        lo = min(int(u.min()), int(v.min()))
-        hi = max(int(u.max()), int(v.max()))
-        if lo < 0 or hi >= n:
-            raise TopologyError(
-                f"edge endpoint {lo if lo < 0 else hi} outside the "
-                f"process indices 0..{n - 1}"
-            )
-        loops = np.flatnonzero(u == v)
-        if loops.size:
-            where = sorted(set(u[loops][:10].tolist()))
-            raise TopologyError(
-                f"self-loop at node(s) {where}; a process is never its "
-                "own neighbour"
-            )
-    dtype = index_dtype_for(n)
+        # Range-check in the arrays' own integer dtype (narrowing first
+        # would wrap out-of-range endpoints past the check); an unsigned
+        # view turns negatives into huge values, so one max per array
+        # checks both ends.
+        if len(sizes) == 1 or min(sizes) == max(sizes):
+            outside = max(_unsigned(u).max(), _unsigned(v).max()) >= sizes[0]
+        else:
+            limit = np.repeat(sizes, np.diff(bounds))
+            outside = ((_unsigned(u) >= limit) | (_unsigned(v) >= limit)).any()
+        if outside:
+            _raise_outside(sizes, u, v, bounds, lanes)
+        if (u == v).any():
+            _raise_self_loop(sizes, u, v, bounds, lanes)
+    dtype = index_dtype_for(max(sizes))
     return u.astype(dtype, copy=False), v.astype(dtype, copy=False)
+
+
+def _endpoint_array(a: np.ndarray) -> np.ndarray:
+    """``a`` as a 1-D integer array, refusing non-integer endpoints."""
+    a = np.asarray(a)
+    if a.ndim != 1:
+        a = a.reshape(-1)
+    kind = a.dtype.kind
+    if kind in "iu":
+        return a
+    if kind == "b":
+        raise TopologyError(
+            "edge endpoints are booleans, not integer node indices"
+        )
+    if kind == "f":
+        fractional = ~np.isfinite(a) | (a != np.trunc(a))
+        if fractional.any():
+            raise TopologyError(
+                f"edge endpoint {a[fractional][0]} is not an integer "
+                "node index"
+            )
+    return a.astype(np.int64)
+
+
+def _unsigned(a: np.ndarray) -> np.ndarray:
+    """A signed integer array viewed as unsigned, so negatives are huge."""
+    if a.dtype.kind == "i":
+        return a.view(a.dtype.str.replace("i", "u"))
+    return a
+
+
+def _raise_outside(sizes, u, v, bounds, lanes) -> None:
+    limit = np.repeat(sizes, np.diff(bounds))
+    bad = (u < 0) | (u >= limit) | (v < 0) | (v >= limit)
+    lane, lo_at, hi_at = _lane_of(int(np.flatnonzero(bad)[0]), bounds)
+    lane_u, lane_v = u[lo_at:hi_at], v[lo_at:hi_at]
+    lo = min(int(lane_u.min()), int(lane_v.min()))
+    hi = max(int(lane_u.max()), int(lane_v.max()))
+    raise TopologyError(
+        f"{_lane_prefix(sizes, lanes, lane)}edge endpoint "
+        f"{lo if lo < 0 else hi} outside the process indices "
+        f"0..{sizes[lane] - 1}"
+    )
+
+
+def _raise_self_loop(sizes, u, v, bounds, lanes) -> None:
+    loops = np.flatnonzero(u == v)
+    lane, lo_at, hi_at = _lane_of(int(loops[0]), bounds)
+    loops = loops[loops < hi_at]
+    where = sorted(set(u[loops][:10].tolist()))
+    raise TopologyError(
+        f"{_lane_prefix(sizes, lanes, lane)}self-loop at node(s) {where}; "
+        "a process is never its own neighbour"
+    )
+
+
+def _lane_of(index: int, bounds) -> tuple[int, int, int]:
+    """The lane holding stacked entry ``index``, and that lane's span."""
+    lane = int(np.searchsorted(bounds, index, side="right")) - 1
+    return lane, int(bounds[lane]), int(bounds[lane + 1])
+
+
+def _lane_prefix(sizes, lanes, lane: int) -> str:
+    if len(sizes) == 1:
+        return ""
+    return f"lane {lane if lanes is None else lanes[lane]}: "
 
 
 def csr_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> CSRAdjacency:

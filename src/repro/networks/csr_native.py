@@ -7,8 +7,9 @@ matrix-first design of connectivity models in network simulators, and
 both views the engines consume are derived from those arrays --
 
 * the CSR adjacency feeds the fast backend directly, no ``nx.Graph``
-  per round -- the engine reads every lane's ``edges`` and builds the
-  whole batch's stack at once
+  per round -- the engine reads every lane's edges through
+  :meth:`DynamicGraph.lane_edges` (which draws lanes sharing a batch
+  form in one call) and builds the whole batch's stack at once
   (:func:`repro.networks.csr.csr_from_lane_edges`); ``to_csr`` is the
   one-graph build (:func:`repro.networks.csr.csr_from_edges`);
 * the ``networkx`` view (:func:`repro.networks.csr.graph_from_edges`)
@@ -52,6 +53,7 @@ from repro.networks.csr import (
     graph_from_edges,
     index_dtype_for,
     validate_edge_arrays,
+    validate_lane_edges,
 )
 from repro.obs.metrics import counter
 from repro.simulation.errors import ModelError, TopologyError, sorted_labels
@@ -83,8 +85,9 @@ class DynamicGraph:
 
     Directly usable as an engine topology provider: the object engine
     uses the ``graph``/``at`` view (networkx graphs built lazily from
-    the arrays), the fast backend reads ``round_key`` and ``edges`` and
-    builds validated CSR directly from the arrays, no ``nx.Graph`` on
+    the arrays), the fast backend reads ``round_key`` and the edges
+    (through :meth:`lane_edges`) and builds validated CSR directly from
+    the arrays, no ``nx.Graph`` on
     the hot path (``to_csr`` is the same build for one graph).
 
     Args:
@@ -120,6 +123,16 @@ class DynamicGraph:
         self.name = name
         self._edge_provider = edge_provider
         self._round_key = round_key
+        # A provider that is the ``edges`` method of an object with an
+        # ``edges_batch`` form (and a ``batch_key`` saying which others
+        # it can share one with) may be drawn with other lanes at once.
+        owner = getattr(edge_provider, "__self__", None)
+        batchable = (
+            round_key is None
+            and hasattr(owner, "edges_batch")
+            and edge_provider == getattr(owner, "edges", None)
+        )
+        self._batch_owner = owner if batchable else None
         self._edge_lru = LRUCache(cache_rounds, "adjacency.cache_evictions")
         self._nx_lru = LRUCache(cache_rounds, "adjacency.cache_evictions")
 
@@ -202,6 +215,52 @@ class DynamicGraph:
             cached = validate_edge_arrays(self.n, u, v)
             self._edge_lru.put(key, cached)
         return cached
+
+    @staticmethod
+    def lane_edges(
+        graphs: Sequence["DynamicGraph"], round_no: int
+    ) -> list[EdgeArrays]:
+        """Every graph's validated edge arrays for one round, in order.
+
+        The fast engine's per-round entry point.  Graphs whose providers
+        share a batch form (owners of one class with an ``edges_batch``
+        and equal ``batch_key``, no ``round_key``), at least two of
+        them, are drawn with one ``edges_batch`` call and validated once
+        as a stack; their arrays bypass the per-graph edge LRU, which is
+        safe because providers are pure.  Every other graph, and a
+        batch group of one, goes through :meth:`edges` unchanged.  The
+        arrays equal ``[graph.edges(round_no) for graph in graphs]`` in
+        value and dtype.
+        """
+        if round_no < 0:
+            raise ValueError("round numbers start at 0")
+        out: list[EdgeArrays | None] = [None] * len(graphs)
+        groups: dict[object, list[int]] = {}
+        for index, graph in enumerate(graphs):
+            owner = getattr(graph, "_batch_owner", None)
+            if owner is None:
+                out[index] = graph.edges(round_no)
+            else:
+                key = (type(owner), owner.batch_key)
+                groups.setdefault(key, []).append(index)
+        for indices in groups.values():
+            if len(indices) == 1:
+                out[indices[0]] = graphs[indices[0]].edges(round_no)
+                continue
+            owners = [graphs[index]._batch_owner for index in indices]
+            u, v, bounds = owners[0].edges_batch(owners, round_no)
+            u, v = validate_lane_edges(
+                [graphs[index].n for index in indices],
+                u,
+                v,
+                bounds,
+                lanes=indices,
+            )
+            bounds = bounds.tolist()
+            for lane, index in enumerate(indices):
+                lo, hi = bounds[lane], bounds[lane + 1]
+                out[index] = (u[lo:hi], v[lo:hi])
+        return out
 
     # -- the CSR view (verification oracle) ---------------------------
 

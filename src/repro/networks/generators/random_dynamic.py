@@ -12,15 +12,20 @@ arrays with vectorized NumPy draws, and both the ``networkx`` view (the
 object engine's oracle) and the CSR adjacency (the fast backend's hot
 path) are derived from the same arrays.  A fresh graph per round
 therefore costs O(n) array work on the fast path instead of a Python
-tree-building loop plus a networkx -> CSR lowering.
+tree-building loop plus a networkx -> CSR lowering, and the fast
+engine draws a batch's lanes of one size together
+(:meth:`RandomConnectedAdversary.edges_batch`), paying the per-call
+overhead once per round instead of once per lane.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import networkx as nx
 import numpy as np
 
-from repro.networks.csr import graph_from_edges
+from repro.networks.csr import graph_from_edges, index_dtype_for
 from repro.networks.csr_native import DynamicGraph
 
 __all__ = [
@@ -34,7 +39,10 @@ __all__ = [
 #: Cached ``np.triu_indices`` per node count -- the all-pairs index
 #: template used by vectorized Bernoulli edge sampling.  Bounded: only
 #: the sizes actually swept are materialised, and entries are O(n^2)
-#: ints, the same asymptotics the per-pair Python loops had.
+#: ints, the same asymptotics the per-pair Python loops had.  Each
+#: :class:`RandomConnectedAdversary` resolves its template here once and
+#: keeps it, so sweeping more sizes than the cache holds never rebuilds
+#: a template per round.
 _PAIR_TEMPLATES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _PAIR_TEMPLATE_LIMIT = 8
 
@@ -48,6 +56,18 @@ def _all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
         cached = (cached[0].astype(np.int64), cached[1].astype(np.int64))
         _PAIR_TEMPLATES[n] = cached
     return cached
+
+
+_NO_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+def _pairs_for(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The node pairs a Bernoulli(``p``) draw on ``n`` nodes ranges over.
+
+    Empty when nothing is drawn (``p == 0`` or a single node), so those
+    cases consume no randomness and build no O(n^2) template.
+    """
+    return _all_pairs(n) if p > 0.0 and n >= 2 else _NO_PAIRS
 
 
 def random_tree_edges(
@@ -76,10 +96,15 @@ def bernoulli_pair_edges(
     n: int, rng: np.random.Generator, p: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each of the ``n(n-1)/2`` node pairs independently with prob ``p``."""
-    empty = np.empty(0, dtype=np.int64)
-    if p <= 0.0 or n < 2:
-        return empty, empty
-    u, v = _all_pairs(n)
+    return _pair_edges(_pairs_for(n, p), rng, p)
+
+
+def _pair_edges(
+    pairs: tuple[np.ndarray, np.ndarray], rng: np.random.Generator, p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    u, v = pairs
+    if u.size == 0:
+        return u, v
     mask = rng.random(u.size) < p
     return u[mask], v[mask]
 
@@ -97,8 +122,19 @@ def random_connected_edges(
     """
     if n < 1:
         raise ValueError("need at least one node")
+    return _connected_edges(
+        n, rng, _pairs_for(n, extra_edge_p), extra_edge_p
+    )
+
+
+def _connected_edges(
+    n: int,
+    rng: np.random.Generator,
+    pairs: tuple[np.ndarray, np.ndarray],
+    p: float,
+) -> tuple[np.ndarray, np.ndarray]:
     tree_u, tree_v = random_tree_edges(n, rng)
-    extra_u, extra_v = bernoulli_pair_edges(n, rng, extra_edge_p)
+    extra_u, extra_v = _pair_edges(pairs, rng, p)
     if extra_u.size == 0:
         return tree_u, tree_v
     return (
@@ -128,7 +164,10 @@ class RandomConnectedAdversary:
     factory (:meth:`as_dynamic_graph`), which is what the fast backend
     runs a lane on.
     Rounds are keyed by ``(seed, round)`` so executions are reproducible
-    and both backends see the identical graph sequence.
+    and both backends see the identical graph sequence.  Adversaries
+    with equal :attr:`batch_key` can draw a round together through
+    :meth:`edges_batch`, which the fast engine does for the lanes of a
+    batch.
     """
 
     def __init__(self, n: int, *, seed: int = 0, extra_edge_p: float = 0.1) -> None:
@@ -140,13 +179,88 @@ class RandomConnectedAdversary:
         self.seed = seed
         self.extra_edge_p = extra_edge_p
         self._native: DynamicGraph | None = None
+        self._pairs: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def batch_key(self) -> tuple[int, float]:
+        """Adversaries with equal keys can share one :meth:`edges_batch`."""
+        return (self.n, self.extra_edge_p)
+
+    def _pair_template(self) -> tuple[np.ndarray, np.ndarray]:
+        """This adversary's pair template, resolved once and kept."""
+        if self._pairs is None:
+            self._pairs = _pairs_for(self.n, self.extra_edge_p)
+        return self._pairs
 
     def edges(self, round_no: int) -> tuple[np.ndarray, np.ndarray]:
         """The round's edge arrays (pure function of ``(seed, round)``)."""
         rng = np.random.default_rng([self.seed, round_no])
-        return random_connected_edges(
-            self.n, rng, extra_edge_p=self.extra_edge_p
+        return _connected_edges(
+            self.n, rng, self._pair_template(), self.extra_edge_p
         )
+
+    @staticmethod
+    def edges_batch(
+        adversaries: Sequence["RandomConnectedAdversary"], round_no: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Several adversaries' edge arrays for one round, stacked.
+
+        The adversaries must share one :attr:`batch_key`.  Returns
+        ``(u, v, bounds)``: lane ``k``'s edges are
+        ``u[bounds[k]:bounds[k + 1]]`` and the same slice of ``v``,
+        equal in value, order and dtype to
+        ``adversaries[k].edges(round_no)``.  Each lane still draws from
+        its own ``(seed, round)`` generator in the same order -- the
+        permutation, the tree uniforms, then the pair uniforms -- and
+        only the tree arithmetic and the assembly run once over the
+        stack.  Memory: one lane's pair draw at a time, the lanes'
+        chosen pair indices (a quarter of the size of their pair edges
+        while ``n(n-1)/2`` fits ``int32``) and the output; never every
+        lane's pair draw at once.
+        """
+        first = adversaries[0]
+        n, p, lanes = first.n, first.extra_edge_p, len(adversaries)
+        if n == 1:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.zeros(lanes + 1, dtype=np.int64)
+        orders = np.empty((lanes, n), dtype=np.int64)
+        orders[:] = np.arange(n)
+        tree_draws = np.empty((lanes, n - 1))
+        pair_u, pair_v = first._pair_template()
+        pair_draw = np.empty(pair_u.size)
+        # Chosen pair indices in the narrowest dtype: they are held for
+        # every lane until the output exists.
+        pick_dtype = index_dtype_for(pair_u.size)
+        chosen = []
+        for lane, adversary in enumerate(adversaries):
+            rng = np.random.default_rng([adversary.seed, round_no])
+            # Shuffling arange(n) in place is what permutation(n) does.
+            rng.shuffle(orders[lane])
+            rng.random(out=tree_draws[lane])
+            if pair_draw.size:
+                rng.random(out=pair_draw)
+                chosen.append((pair_draw < p).nonzero()[0].astype(pick_dtype))
+        del pair_draw
+        # Truncation is floor for these non-negative products.
+        parents = (tree_draws * np.arange(1, n)).astype(np.int64)
+        tree_u = orders[:, 1:]
+        tree_v = np.take_along_axis(orders, parents, axis=1)
+        if not chosen:
+            bounds = np.arange(lanes + 1, dtype=np.int64) * (n - 1)
+            return tree_u.ravel(), tree_v.ravel(), bounds
+        bounds = np.zeros(lanes + 1, dtype=np.int64)
+        np.cumsum([n - 1 + picked.size for picked in chosen], out=bounds[1:])
+        u = np.empty(bounds[-1], dtype=np.int64)
+        v = np.empty_like(u)
+        tree_at = bounds[:-1, None] + np.arange(n - 1)
+        u[tree_at] = tree_u
+        v[tree_at] = tree_v
+        for lo, hi, picked in zip(
+            (bounds[:-1] + n - 1).tolist(), bounds[1:].tolist(), chosen
+        ):
+            u[lo:hi] = pair_u[picked]
+            v[lo:hi] = pair_v[picked]
+        return u, v, bounds
 
     def graph(self, round_no: int, processes: object = None) -> nx.Graph:
         """Topology-provider interface: the round's random graph."""

@@ -395,7 +395,7 @@ class _LaneBlock:
             counter("adjacency.stack_hits")
             return cached
         adjacency, connected = csr_from_lane_edges(
-            self._sizes, [graph.edges(round_no) for graph in self.graphs]
+            self._sizes, DynamicGraph.lane_edges(self.graphs, round_no)
         )
         if self.config.require_connected and not connected.all():
             lane = int(np.flatnonzero(~connected)[0])
