@@ -60,7 +60,7 @@ bench-smoke:
 
 # Dynamic-topology regression gate: just the fresh-graph-per-round
 # workload (the CSR-native pipeline's raison d'etre), floor-checked in
-# quick mode.  Results land in benchmarks/results/engine-backend-only.*.
+# quick mode.  Like every bench smoke it prints only and writes no file.
 bench-dynamic-smoke:
 	$(PYTHON) benchmarks/bench_engine.py --quick --only "fresh graph"
 

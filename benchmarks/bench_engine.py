@@ -10,6 +10,10 @@ wall-clock speedups:
   fails (exit 1) if a floor-checked workload's speedup at the largest
   size drops below the baseline's ``min_speedup`` for the chosen mode.
 
+Only a full sweep of every workload writes the two results files;
+``--quick`` and ``--only`` runs print their table and floor check and
+leave ``benchmarks/`` untouched.
+
 For static workloads topology construction is hoisted out of the timed
 region: sampling a random tree is identical Python work for both
 backends, so leaving it in would only dilute the engine comparison.
@@ -24,7 +28,7 @@ Usage::
 
     python benchmarks/bench_engine.py             # full sweep (n <= 2048)
     python benchmarks/bench_engine.py --quick     # CI smoke (n <= 256)
-    python benchmarks/bench_engine.py --only dynamic   # workload filter
+    python benchmarks/bench_engine.py --only "fresh graph"  # workload filter
     python benchmarks/bench_engine.py --update-baseline
 
 Not a pytest module on purpose: ``make bench-smoke`` invokes it as a
@@ -42,7 +46,6 @@ from pathlib import Path
 
 import numpy as np
 
-import trajectory
 from repro.analysis.sweep import log_spaced_sizes
 from repro.core.counting.flooding import (
     flood_time_via_protocol,
@@ -210,11 +213,11 @@ def bench_flooding_dynamic(
     return rows
 
 
-# (name, bench function, floor-checked?)
+# (name, bench function)
 WORKLOADS = (
-    ("flooding rounds-vs-n (static)", bench_flooding_static, True),
-    (f"gossip {GOSSIP_ROUNDS} rounds (static)", bench_gossip_static, True),
-    ("flooding rounds-vs-n (fresh graph per round)", bench_flooding_dynamic, True),
+    ("flooding rounds-vs-n (static)", bench_flooding_static),
+    (f"gossip {GOSSIP_ROUNDS} rounds (static)", bench_gossip_static),
+    ("flooding rounds-vs-n (fresh graph per round)", bench_flooding_dynamic),
 )
 
 
@@ -242,13 +245,9 @@ def check_baseline(workloads: dict[str, list[dict]], mode: str) -> int:
         return 1
     baseline = json.loads(BASELINE_PATH.read_text())
     floor = baseline["min_speedup"][mode]
-    checked = {name for name, _, floored in WORKLOADS if floored}
     status = 0
     for name, rows in workloads.items():
         measured = rows[-1]["speedup"]
-        if name not in checked:
-            print(f"{name}: {measured:.2f}x at n={rows[-1]['n']} (not checked)")
-            continue
         verdict = "ok" if measured >= floor else "REGRESSION"
         print(
             f"{name}: {measured:.2f}x at n={rows[-1]['n']} "
@@ -280,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
+    if args.update_baseline and args.only:
+        print("--update-baseline needs the full workload set; drop --only")
+        return 2
 
     selected = WORKLOADS
     if args.only:
@@ -287,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
             workload for workload in WORKLOADS if args.only in workload[0]
         )
         if not selected:
-            names = ", ".join(repr(name) for name, _, _ in WORKLOADS)
+            names = ", ".join(repr(name) for name, _ in WORKLOADS)
             print(f"--only {args.only!r} matches no workload (have: {names})")
             return 2
 
@@ -302,36 +304,21 @@ def main(argv: list[str] | None = None) -> int:
         sizes = log_spaced_sizes(32, 2048, per_decade=2)
         seeds = SEEDS
 
-    sweep_start = time.perf_counter()
-    workloads = {
-        name: bench(sizes, seeds) for name, bench, _ in selected
-    }
-    sweep_wall = time.perf_counter() - sweep_start
+    workloads = {name: bench(sizes, seeds) for name, bench in selected}
 
     table = render(workloads, mode)
     print(table)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    suffix = "-only" if args.only else ""
-    (RESULTS_DIR / f"engine-backend{suffix}.txt").write_text(table + "\n")
     measurement = {
         "mode": mode,
         "python": platform.python_version(),
         "workloads": workloads,
     }
-    (RESULTS_DIR / f"engine-backend{suffix}.json").write_text(
-        json.dumps(measurement, indent=1) + "\n"
-    )
-    if not args.only:
-        # Partial sweeps would record misleadingly sparse trajectory
-        # entries, so only full workload sets join the history.
-        trajectory.append_run(
-            mode=mode, workloads=workloads, wall_s=sweep_wall
+    if not (args.quick or args.only):
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / "engine-backend.txt").write_text(table + "\n")
+        (RESULTS_DIR / "engine-backend.json").write_text(
+            json.dumps(measurement, indent=1) + "\n"
         )
-        print(f"trajectory updated: {trajectory.TRAJECTORY_PATH}")
-
-    if args.update_baseline and args.only:
-        print("--update-baseline needs the full workload set; drop --only")
-        return 2
     if args.update_baseline:
         baseline = (
             json.loads(BASELINE_PATH.read_text())

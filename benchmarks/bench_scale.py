@@ -9,17 +9,16 @@ would want to allocate.  The headline full-mode row simulates
 ``8 x 131072 = 1,048,576`` nodes in ONE ``flood_times_batch`` call
 streamed through four 262144-node chunks.
 
-* ``benchmarks/results/scale.json`` -- raw per-row measurements.
-* ``benchmarks/BENCH_scale.json`` -- the committed scale trajectory
-  (:mod:`repro.obs.bench` schema; the per-workload ``speedup`` field
-  carries throughput in Mnode-rounds/s, so ``repro bench-report
-  benchmarks/BENCH_scale.json`` flags throughput regressions).
+Full mode writes its per-row measurements (wall-clock, peak RSS and
+``throughput_mnr_s`` in Mnode-rounds/s) to
+``benchmarks/results/scale.json``.
 
 Quick mode (``--quick``, used by ``make bench-scale-smoke``) shrinks
 the grid and *proves the memory bound* instead of chasing scale: it
 runs the same grid monolithically and chunked under ``tracemalloc``
 and asserts the chunked peak stays well below the monolithic peak (and
-below an absolute per-chunk byte budget), with identical results.
+below an absolute per-chunk byte budget), with identical results.  It
+only prints: nothing under ``benchmarks/`` changes.
 
 Peak RSS is process-lifetime-monotone (``getrusage``), so rows run in
 ascending size order and each row's ``peak_rss_mib`` reads "peak so
@@ -40,12 +39,10 @@ from pathlib import Path
 
 from repro.core.counting.flooding import flood_times_batch
 from repro.networks.generators.random_dynamic import RandomConnectedAdversary
-from repro.obs.bench import append_record, make_record
 from repro.obs.spans import peak_rss_mib
 from repro.simulation.fast import partition_lanes
 
 HERE = Path(__file__).parent
-SCALE_PATH = HERE / "BENCH_scale.json"
 RESULTS_DIR = HERE / "results"
 
 # Random trees (extra_edge_p=0) keep per-round topology sampling O(n);
@@ -112,9 +109,7 @@ def bench_scale(
                 "rounds": max(rounds),
                 "fast_s": round(wall, 3),
                 "peak_rss_mib": rss and round(rss, 1),
-                # Throughput doubles as the trajectory's regression
-                # metric (see module docstring).
-                "speedup": round(node_rounds / wall / 1e6, 3),
+                "throughput_mnr_s": round(node_rounds / wall / 1e6, 3),
             }
         )
         print(
@@ -170,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help=(
             "small grid + tracemalloc memory-bound proof; used by "
-            "`make bench-scale-smoke` (does not touch BENCH_scale.json)"
+            "`make bench-scale-smoke` (prints only, writes no file)"
         ),
     )
     args = parser.parse_args(argv)
@@ -181,30 +176,17 @@ def main(argv: list[str] | None = None) -> int:
         sizes, lanes, budget = FULL_SIZES, FULL_LANES, FULL_BUDGET
 
     print(f"streaming scale bench ({mode} mode):")
-    sweep_start = time.perf_counter()
     rows = bench_scale(sizes, lanes, budget)
-    sweep_wall = time.perf_counter() - sweep_start
     if args.quick:
         prove_memory_bound(QUICK_SIZES[-1], QUICK_LANES, QUICK_BUDGET)
+        return 0
 
+    assert rows[-1]["n"] >= 10**6, (
+        "full mode must simulate at least 10^6 stacked nodes"
+    )
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "scale.json").write_text(
         json.dumps({"mode": mode, "rows": rows}, indent=1) + "\n"
-    )
-    if not args.quick:
-        # Only full runs join the committed trajectory: quick grids
-        # would record misleadingly tiny "scale" records.
-        record = make_record(
-            mode=mode,
-            workloads={"flooding chunked scale": rows},
-            wall_s=sweep_wall,
-            cwd=HERE,
-        )
-        record["scale_rows"] = rows
-        length = append_record(record, SCALE_PATH)
-        print(f"scale trajectory updated: {SCALE_PATH} ({length} run(s))")
-    assert rows[-1]["n"] >= 10**6 or args.quick, (
-        "full mode must simulate at least 10^6 stacked nodes"
     )
     return 0
 

@@ -21,7 +21,7 @@ Usage::
     python -m repro trace events.jsonl
     python -m repro trace events.jsonl --flame > folded.txt
     python -m repro tail .repro-cache/journal.jsonl events.jsonl --follow
-    python -m repro bench-report
+    python -m repro bench-report parent/.perfbench-out .perfbench-out
     python -m repro verify --fuzz 200 --seed 0
     python -m repro verify --suite kernel --suite backend
     python -m repro verify --self-test
@@ -98,8 +98,9 @@ stitches JSONL event files -- including a multi-process sweep's -- into
 span trees (``--flame`` emits folded stacks for flamegraph tooling).
 ``repro tail`` renders a sweep's journal and event files as one
 human-readable feed (``--follow`` keeps polling).  ``repro
-bench-report`` diffs the latest recorded benchmark run against its
-same-mode baseline (see ``benchmarks/BENCH_trajectory.json``).
+bench-report PARENT CHANGE`` compares two directories of ``perfbench``
+records against the bounds in ``BENCHMARK.json`` (see
+:mod:`repro.obs.bench`).
 
 ``repro verify`` fuzzes the property-based verification suites of
 :mod:`repro.verify` (model invariants, the paper's kernel identities,
@@ -275,30 +276,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench_report = commands.add_parser(
         "bench-report",
-        help="diff the latest recorded benchmark run against its baseline",
+        help="compare a change's perfbench records against its parent's",
     )
     bench_report.add_argument(
-        "path",
-        nargs="?",
-        default="benchmarks/BENCH_trajectory.json",
-        help="bench trajectory file (default: %(default)s)",
+        "parent", help="the parent's perfbench records (e.g. its .perfbench-out/)"
     )
-    bench_report.add_argument(
-        "--threshold",
-        type=float,
-        default=0.8,
-        metavar="R",
-        help=(
-            "flag a workload whose speedup fell below R times the "
-            "baseline's (default: %(default)s)"
-        ),
-    )
-    bench_report.add_argument(
-        "--mode",
-        choices=["quick", "full"],
-        default=None,
-        help="restrict the trajectory to one bench mode",
-    )
+    bench_report.add_argument("change", help="the change's perfbench records")
     verify = commands.add_parser(
         "verify",
         parents=[obs_options],
@@ -827,14 +810,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "scenario" and args.scenario_command == "validate":
         return _execute_scenario_validate(args)
     if args.command == "bench-report":
-        from repro.obs.bench import render_report
+        from repro.obs.bench import load_metrics, render_report
 
-        try:
-            text, status = render_report(
-                args.path, threshold=args.threshold, mode=args.mode
-            )
-        except (OSError, ValueError) as exc:
-            raise SystemExit(str(exc)) from exc
+        text, status = render_report(args.parent, args.change, load_metrics())
         print(text)
         return status
 

@@ -24,9 +24,9 @@ wall-clock -- so measurement itself is a first-class subsystem:
 * :mod:`repro.obs.trace` -- trace identity (``trace_id`` / ``span_id``
   / ``parent_id``), cross-process context propagation, and stitching of
   per-worker JSONL files into one ordered span tree (``repro trace``).
-* :mod:`repro.obs.bench` -- the standardized benchmark record schema,
-  the append-only ``BENCH_trajectory.json`` history, and the regression
-  report behind ``repro bench-report``.
+* :mod:`repro.obs.bench` -- ``repro bench-report PARENT CHANGE``:
+  compare two directories of ``perfbench`` records per workload and
+  metric against the bounds in ``BENCHMARK.json``.
 
 Everything is dependency-free stdlib and cheap when idle: counters are
 dict increments, spans are two ``perf_counter`` calls, disabled

@@ -1,263 +1,218 @@
-"""The benchmark observatory: record schema, trajectory, regression report.
+"""Compare two sets of perfbench records: ``repro bench-report PARENT CHANGE``.
 
-Benchmarks already *gate* (``bench_engine.py`` fails when a speedup
-drops below its committed floor) but they did not *remember*: every run
-overwrote ``benchmarks/results/`` and the repo's performance history
-lived in git archaeology.  This module gives benchmark runs a
-standardized record and an append-only history:
+``perfbench/run.py`` writes one JSON record per run into its checkout's
+``.perfbench-out/``.  This module reads two such directories -- a parent
+checkout's and a change's -- and judges the change per workload and
+end-to-end metric, with each metric's direction (``better``) and
+``bound`` taken from ``BENCHMARK.json``:
 
-* :func:`make_record` -- one run as a schema-versioned dict: git
-  revision, python, mode, wall-clock, peak RSS, and per-workload
-  summary (largest-size speedup and timings).
-* :func:`append_record` -- append to ``benchmarks/BENCH_trajectory
-  .json`` (created on first use); the file is the repo's performance
-  trajectory, one record per benchmark run, oldest first.
-* :func:`render_report` / :func:`compare_latest` -- the ``repro
-  bench-report`` backend: render the trajectory and diff the latest run
-  against a baseline run of the same mode, flagging any workload whose
-  speedup fell below ``threshold`` times the baseline.
+* ``worse`` -- the change's median is worse than the parent's by more
+  than the bound;
+* ``unresolved`` -- otherwise, when the parent's interquartile range
+  exceeds the bound times its median (too noisy to tell), unless every
+  change run beats every parent run;
+* ``ok`` -- otherwise.
 
-Records are deliberately summary-level (the full per-size rows stay in
-``benchmarks/results/*.json``): the trajectory is for spotting trends
-and regressions across commits, not for re-plotting sweeps.
+Only untraced (``trace == 0``) records count, and only their
+``workload``, ``seed``, ``end_to_end`` and ``failed_ratio`` keys are
+read.  Quartiles interpolate linearly between order statistics (numpy's
+default percentile method).  Seeds run on both sides are paired: each
+side's per-seed median is compared, and ties count for neither.
 """
 
 from __future__ import annotations
 
 import json
-import platform
-import subprocess
-import time
 from pathlib import Path
+from statistics import mean, median
 from typing import Any, Mapping, Sequence
 
-from repro.obs.spans import peak_rss_mib
+from repro.analysis.tables import format_value, render_table
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "append_record",
-    "compare_latest",
-    "git_revision",
-    "load_trajectory",
-    "make_record",
-    "render_report",
-]
-
-SCHEMA_VERSION = 1
-
-_TRAJECTORY_DESCRIPTION = (
-    "Append-only benchmark trajectory: one schema-versioned record per "
-    "bench run (git rev, python, mode, wall-clock, peak RSS, per-workload "
-    "largest-size speedups). Read with `repro bench-report`."
-)
+__all__ = ["compare", "load_metrics", "load_runs", "render_report"]
 
 
-def git_revision(cwd: str | Path | None = None) -> str | None:
-    """The short git revision of ``cwd``'s repo, or ``None``.
-
-    Benchmarks run outside a checkout (tarballs, CI caches) must still
-    record; a missing git is data (``null``), not an error.
-    """
+def load_metrics(path: str | Path = "BENCHMARK.json") -> list[dict[str, Any]]:
+    """The end-to-end metrics (``name``, ``better``, ``bound``) ``path`` declares."""
     try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=str(cwd) if cwd is not None else None,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    if proc.returncode != 0:
-        return None
-    return proc.stdout.strip() or None
+        return json.loads(Path(path).read_text())["end_to_end"]
+    except (OSError, ValueError, KeyError) as exc:
+        raise SystemExit(
+            f"{path}: no end_to_end metrics ({exc!r}); run from the repository root"
+        ) from exc
 
 
-def _summarize_workload(rows: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
-    """Largest-size summary of one workload's per-size rows."""
-    last = rows[-1]
-    return {
-        "n": last.get("n"),
-        "runs": last.get("runs"),
-        "object_s": round(float(last.get("object_s", 0.0)), 6),
-        "fast_s": round(float(last.get("fast_s", 0.0)), 6),
-        "speedup": round(float(last.get("speedup", 0.0)), 3),
-    }
-
-
-def make_record(
-    *,
-    mode: str,
-    workloads: Mapping[str, Sequence[Mapping[str, Any]]],
-    wall_s: float,
-    git_rev: str | None = None,
-    cwd: str | Path | None = None,
-) -> dict[str, Any]:
-    """One benchmark run as a standardized trajectory record.
-
-    Args:
-        mode: The bench's size regime (``"quick"`` / ``"full"``).
-        workloads: Per-workload lists of per-size rows, each row with at
-            least ``n`` / ``object_s`` / ``fast_s`` / ``speedup`` keys
-            (the shape ``bench_engine.py`` produces).
-        wall_s: Total wall-clock of the benchmark run.
-        git_rev: Revision override; auto-detected from ``cwd`` if None.
-    """
-    rss = peak_rss_mib()
-    return {
-        "schema": SCHEMA_VERSION,
-        "recorded_at": round(time.time(), 3),
-        "git_rev": git_rev if git_rev is not None else git_revision(cwd),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "mode": mode,
-        "wall_s": round(float(wall_s), 3),
-        "peak_rss_mib": round(rss, 1) if rss is not None else None,
-        "workloads": {
-            name: _summarize_workload(rows)
-            for name, rows in workloads.items()
-            if rows
-        },
-    }
-
-
-def load_trajectory(path: str | Path) -> list[dict[str, Any]]:
-    """The trajectory's records, oldest first (empty if absent).
+def load_runs(
+    directory: str | Path, metrics: Sequence[Mapping[str, Any]]
+) -> list[dict[str, Any]]:
+    """The untraced runs recorded in ``directory``, one flat dict each.
 
     Raises:
-        ValueError: The file exists but is not a trajectory.
+        SystemExit: ``directory`` holds no records, or a malformed one
+            (named in the message).
     """
-    path = Path(path)
-    if not path.exists():
-        return []
-    payload = json.loads(path.read_text())
-    if not isinstance(payload, dict) or "runs" not in payload:
-        raise ValueError(f"{path} is not a bench trajectory (no 'runs' key)")
-    runs = payload["runs"]
-    if not isinstance(runs, list):
-        raise ValueError(f"{path}: 'runs' must be a list")
+    paths = sorted(Path(directory).glob("*.json"))
+    if not paths:
+        raise SystemExit(f"{directory}: no perfbench records (*.json)")
+    runs = []
+    for path in paths:
+        try:
+            record = json.loads(path.read_text())
+            if record["trace"] != 0:
+                continue
+            run = {
+                "workload": str(record["workload"]),
+                "seed": int(record["seed"]),
+                "failed_ratio": float(record["failed_ratio"]),
+            }
+            for metric in metrics:
+                run[metric["name"]] = float(record["end_to_end"][metric["name"]])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise SystemExit(f"{path}: not a perfbench record ({exc!r})") from exc
+        runs.append(run)
     return runs
 
 
-def append_record(record: Mapping[str, Any], path: str | Path) -> int:
-    """Append one record to the trajectory file; returns the new length.
+def _quartiles(values: Sequence[float]) -> list[float]:
+    """``[q1, median, q3]`` by linear interpolation between order statistics."""
+    ordered = sorted(values)
+    top = len(ordered) - 1
 
-    Creates the file (with its schema envelope) on first use.
-    """
-    path = Path(path)
-    runs = load_trajectory(path)
-    runs.append(dict(record))
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "description": _TRAJECTORY_DESCRIPTION,
-        "runs": runs,
-    }
-    path.write_text(json.dumps(payload, indent=1) + "\n")
-    return len(runs)
+    def at(fraction: float) -> float:
+        position = fraction * top
+        low = int(position)
+        high = min(low + 1, top)
+        return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
+
+    return [at(0.25), at(0.5), at(0.75)]
 
 
-def compare_latest(
-    runs: Sequence[Mapping[str, Any]],
-    *,
-    threshold: float = 0.8,
-    mode: str | None = None,
-) -> tuple[list[dict[str, Any]], int]:
-    """Diff the latest run against its same-mode baseline.
+def _better(metric: Mapping[str, Any], a: float, b: float) -> bool:
+    """Whether value ``a`` reads strictly better than ``b`` for ``metric``."""
+    return a < b if metric["better"] == "lower" else a > b
 
-    The baseline is the *previous* run of the same mode (benchmarks are
-    machine-relative, so cross-mode or cross-era comparisons mislead).
-    A workload regresses when its speedup fell below ``threshold``
-    times the baseline's.
+
+def _seed_medians(runs: Sequence[Mapping[str, Any]], name: str) -> dict[int, float]:
+    by_seed: dict[int, list[float]] = {}
+    for run in runs:
+        by_seed.setdefault(run["seed"], []).append(run[name])
+    return {seed: median(values) for seed, values in by_seed.items()}
+
+
+def compare(
+    parent: Sequence[Mapping[str, Any]],
+    change: Sequence[Mapping[str, Any]],
+    metrics: Sequence[Mapping[str, Any]],
+) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
+    """Judge ``change`` against ``parent`` on every workload both ran.
 
     Returns:
-        ``(rows, status)``: one row per workload of the latest run
-        (columns: workload, baseline/current speedup, ratio, verdict)
-        and a ``repro``-style exit status (1 if anything regressed).
+        ``(rows, failed)``: one row per workload and metric (both sides'
+        run counts and ``[q1, median, q3]``, ``better`` of ``seeds``
+        paired seeds, ``verdict``), and one row per workload with each
+        side's mean failed share (``worse`` if the change's is higher).
     """
-    if mode is not None:
-        runs = [run for run in runs if run.get("mode") == mode]
-    if not runs:
-        return [], 0
-    latest = runs[-1]
-    baseline = None
-    for run in reversed(runs[:-1]):
-        if run.get("mode") == latest.get("mode"):
-            baseline = run
-            break
     rows: list[dict[str, Any]] = []
-    status = 0
-    for name, summary in latest.get("workloads", {}).items():
-        current = float(summary.get("speedup", 0.0))
-        base = (
-            float(baseline["workloads"][name]["speedup"])
-            if baseline is not None and name in baseline.get("workloads", {})
-            else None
-        )
-        if base is None:
-            verdict, ratio = "new", None
-        else:
-            ratio = current / base if base else float("inf")
-            regressed = ratio < threshold
-            verdict = "REGRESSION" if regressed else "ok"
-            if regressed:
-                status = 1
-        rows.append(
-            {
-                "workload": name,
-                "baseline": base,
-                "current": current,
-                "ratio": ratio,
+    failed: list[dict[str, Any]] = []
+    workloads = {run["workload"] for run in parent} & {run["workload"] for run in change}
+    for workload in sorted(workloads):
+        before = [run for run in parent if run["workload"] == workload]
+        after = [run for run in change if run["workload"] == workload]
+        for metric in metrics:
+            name, bound = metric["name"], metric["bound"]
+            old = [run[name] for run in before]
+            new = [run[name] for run in after]
+            p, c = _quartiles(old), _quartiles(new)
+            old_seeds, new_seeds = _seed_medians(before, name), _seed_medians(after, name)
+            paired = old_seeds.keys() & new_seeds.keys()
+            slack = bound if metric["better"] == "lower" else -bound
+            if _better(metric, p[1] * (1 + slack), c[1]):
+                verdict = "worse"
+            elif p[2] - p[0] > bound * abs(p[1]) and not all(
+                _better(metric, a, b) for a in new for b in old
+            ):
+                verdict = "unresolved"
+            else:
+                verdict = "ok"
+            rows.append({
+                "workload": workload,
+                "metric": name,
+                "parent_runs": len(old),
+                "parent": p,
+                "change_runs": len(new),
+                "change": c,
+                "better": sum(_better(metric, new_seeds[s], old_seeds[s]) for s in paired),
+                "seeds": len(paired),
                 "verdict": verdict,
-            }
-        )
-    return rows, status
+            })
+        old_failed = mean(run["failed_ratio"] for run in before)
+        new_failed = mean(run["failed_ratio"] for run in after)
+        failed.append({
+            "workload": workload,
+            "parent": old_failed,
+            "change": new_failed,
+            "verdict": "worse" if new_failed > old_failed else "ok",
+        })
+    return rows, failed
+
+
+def _triple(values: Sequence[float]) -> str:
+    return "[" + ", ".join(format_value(value) for value in values) + "]"
 
 
 def render_report(
-    path: str | Path, *, threshold: float = 0.8, mode: str | None = None
+    parent_dir: str | Path,
+    change_dir: str | Path,
+    metrics: Sequence[Mapping[str, Any]],
 ) -> tuple[str, int]:
-    """The ``repro bench-report`` text: trajectory tail plus the diff.
+    """The ``repro bench-report`` text and exit status.
 
-    Returns ``(text, status)``; status 1 means a regression.  An empty
-    or missing trajectory is a clean "nothing recorded yet" (status 0):
-    a fresh checkout has no performance history to regress against, and
-    the message says how to record the first run.
+    The status is 1 when any metric or failed share reads ``worse``.
+
+    Raises:
+        SystemExit: A directory is empty or holds a malformed record,
+            or no workload has untraced runs on both sides.
     """
-    runs = load_trajectory(path)
-    if mode is not None:
-        runs = [run for run in runs if run.get("mode") == mode]
-    if not runs:
-        scope = f" (mode={mode})" if mode else ""
-        return (
-            f"no benchmark runs recorded in {path}{scope}; run "
-            f"`python benchmarks/bench_engine.py` (or `make bench`) to "
-            f"append the first record",
-            0,
+    parent = load_runs(parent_dir, metrics)
+    change = load_runs(change_dir, metrics)
+    rows, failed = compare(parent, change, metrics)
+    if not failed:
+        raise SystemExit(
+            f"no workload has untraced runs in both {parent_dir} and {change_dir}"
         )
-    lines = [f"benchmark trajectory: {len(runs)} run(s) in {path}", ""]
-    for run in runs[-5:]:
-        workloads = run.get("workloads", {})
-        speeds = ", ".join(
-            f"{summary.get('speedup'):g}x" for summary in workloads.values()
-        )
-        lines.append(
-            f"  rev {run.get('git_rev') or '?':>9}  mode {run.get('mode')}  "
-            f"python {run.get('python')}  wall {run.get('wall_s')}s  "
-            f"speedups [{speeds}]"
-        )
-    rows, status = compare_latest(runs, threshold=threshold)
-    lines.append("")
-    if len(runs) < 2:
-        lines.append("(single run: nothing to diff against yet)")
-        return "\n".join(lines), 0
-    lines.append(
-        f"latest vs previous same-mode run (threshold {threshold:g}):"
+    table = [
+        {
+            "workload": row["workload"],
+            "metric": row["metric"],
+            "parent runs": row["parent_runs"],
+            "parent [q1, median, q3]": _triple(row["parent"]),
+            "change runs": row["change_runs"],
+            "change [q1, median, q3]": _triple(row["change"]),
+            "change better on": f"{row['better']}/{row['seeds']} seeds",
+            "verdict": row["verdict"],
+        }
+        for row in rows
+    ]
+    sections = [
+        f"parent: {parent_dir} ({len(parent)} untraced runs)\n"
+        f"change: {change_dir} ({len(change)} untraced runs)",
+        render_table(table, title="End-to-end metrics"),
+        render_table(
+            [
+                {"workload": row["workload"], "parent failed share": row["parent"],
+                 "change failed share": row["change"], "verdict": row["verdict"]}
+                for row in failed
+            ],
+            title="Failed share",
+        ),
+    ]
+    compared = {row["workload"] for row in failed}
+    for side, runs in (("parent", parent), ("change", change)):
+        alone = sorted({run["workload"] for run in runs} - compared)
+        if alone:
+            sections.append(f"not compared, only in {side}: {', '.join(alone)}")
+    verdicts = [row["verdict"] for row in rows + failed]
+    sections.append(
+        ", ".join(f"{verdicts.count(v)} {v}" for v in ("worse", "unresolved", "ok"))
     )
-    for row in rows:
-        base = f"{row['baseline']:.2f}x" if row["baseline"] is not None else "-"
-        ratio = f"{row['ratio']:.2f}" if row["ratio"] is not None else "-"
-        lines.append(
-            f"  {row['workload']}: {base} -> {row['current']:.2f}x "
-            f"(ratio {ratio}) {row['verdict']}"
-        )
-    return "\n".join(lines), status
+    return "\n\n".join(sections), int("worse" in verdicts)

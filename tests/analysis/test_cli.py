@@ -342,32 +342,30 @@ class TestCliTail:
 
 
 class TestCliBenchReport:
-    def test_reports_trajectory(self, tmp_path, capsys):
-        from repro.obs.bench import append_record, make_record
+    def test_compares_record_dirs(self, tmp_path, monkeypatch, capsys):
+        import json
+        from pathlib import Path
 
-        path = tmp_path / "BENCH_trajectory.json"
-        workloads = {
-            "flooding": [{"n": 64, "object_s": 1.0, "fast_s": 0.1, "speedup": 10.0}]
-        }
-        for speedup in (10.0, 4.0):
-            record = make_record(
-                mode="quick",
-                workloads={
-                    name: [dict(rows[0], speedup=speedup)]
-                    for name, rows in workloads.items()
-                },
-                wall_s=1.0,
-                git_rev="deadbee",
-            )
-            append_record(record, path)
-        assert main(["bench-report", str(path)]) == 1  # 4.0/10.0 < 0.8
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-        assert main(["bench-report", str(path), "--threshold", "0.3"]) == 0
-
-    def test_missing_trajectory_is_clean(self, tmp_path, capsys):
-        assert main(["bench-report", str(tmp_path / "absent.json")]) == 0
-        assert "no benchmark runs" in capsys.readouterr().out
+        for side, wall_s in (("parent", 1.0), ("change", 2.0)):
+            (tmp_path / side).mkdir()
+            for seed in (1, 2):
+                record = {
+                    "workload": "flood-fresh",
+                    "seed": seed,
+                    "trace": 0,
+                    "end_to_end": {
+                        "setup_s": 1e-5,
+                        "wall_s": wall_s,
+                        "throughput_mnr_s": 1.0,
+                        "peak_rss_mib": 100.0,
+                    },
+                    "failed_ratio": 0.0,
+                }
+                (tmp_path / side / f"{seed}.json").write_text(json.dumps(record))
+        monkeypatch.chdir(Path(__file__).resolve().parents[2])
+        args = ["bench-report", str(tmp_path / "parent"), str(tmp_path / "change")]
+        assert main(args) == 1
+        assert "1 worse" in capsys.readouterr().out
 
 
 class TestSerialTimeoutWarning:

@@ -1,156 +1,153 @@
-"""Tests for the bench trajectory schema and regression report."""
+"""Tests for the perfbench record comparison behind ``repro bench-report``."""
 
 from __future__ import annotations
 
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from repro.obs.bench import (
-    SCHEMA_VERSION,
-    append_record,
-    compare_latest,
-    load_trajectory,
-    make_record,
-    render_report,
-)
+from repro.obs.bench import compare, load_metrics, load_runs, render_report
 
-WORKLOADS = {
-    "flooding (static)": [
-        {"n": 64, "runs": 2, "object_s": 1.0, "fast_s": 0.1, "speedup": 10.0},
-        {"n": 256, "runs": 2, "object_s": 4.0, "fast_s": 0.2, "speedup": 20.0},
-    ],
-    "gossip (static)": [
-        {"n": 256, "runs": 2, "object_s": 2.0, "fast_s": 0.25, "speedup": 8.0},
-    ],
+ROOT = Path(__file__).resolve().parents[2]
+METRICS = load_metrics(ROOT / "BENCHMARK.json")
+#: Committed summaries whose ``runs`` carry a parent/change ``side`` tag.
+SIDED = ("history-solver", "fused-lane-build", "batched-sampling", "zoo-drain-batch")
+
+
+def _write(directory: Path, records: list) -> None:
+    directory.mkdir(parents=True, exist_ok=True)
+    for record in records:
+        text = record if isinstance(record, str) else json.dumps(record)
+        (directory / f"run{len(list(directory.iterdir()))}.json").write_text(text)
+
+
+def test_reproduces_committed_summaries(tmp_path):
+    triples = pairs = 0
+    for name in SIDED:
+        committed = json.loads(
+            (ROOT / "benchmarks" / "results" / f"perfbench-{name}.json").read_text()
+        )
+        untraced = [run for run in committed["runs"] if run["trace"] == 0]
+        for side in ("parent", "change"):
+            _write(tmp_path / name / side, [
+                {
+                    "workload": run["workload"],
+                    "seed": run["seed"],
+                    "trace": 0,
+                    "end_to_end": run["metrics"],
+                    "failed_ratio": run["failed"] / run["attempted"],
+                }
+                for run in untraced
+                if run["side"] == side
+            ])
+        rows, _ = compare(
+            load_runs(tmp_path / name / "parent", METRICS),
+            load_runs(tmp_path / name / "change", METRICS),
+            METRICS,
+        )
+        found = {(row["workload"], row["metric"]): row for row in rows}
+        for key, summary in committed["summary"].items():
+            workload, trace = key.split(" trace=")
+            if trace != "0":
+                continue
+            runs_per_seed = Counter(
+                (run["seed"], run["side"]) for run in untraced if run["workload"] == workload
+            )
+            for metric, expected in summary["metrics"].items():
+                row = found[workload, metric]
+                for side in ("parent", "change"):
+                    assert row[side] == pytest.approx(
+                        expected[f"{side}_q1_median_q3"], rel=1e-3
+                    ), (name, workload, metric, side)
+                    triples += 1
+                if set(runs_per_seed.values()) == {1}:
+                    assert row["better"] == expected["change_better_pairs"], (
+                        name, workload, metric
+                    )
+                    pairs += 1
+    assert (triples, pairs) == (128, 56)
+
+
+def _run(wall_s: float, seed: int, *, workload: str = "flood-fresh", failed: float = 0.0):
+    return {
+        "workload": workload,
+        "seed": seed,
+        "trace": 0,
+        "end_to_end": {
+            "setup_s": 1e-5, "wall_s": wall_s, "throughput_mnr_s": 1.0, "peak_rss_mib": 100.0,
+        },
+        "failed_ratio": failed,
+    }
+
+
+def _walls(*walls: float) -> list[dict]:
+    return [_run(wall, seed) for seed, wall in enumerate(walls, start=1)]
+
+
+# (parent records, change records, exit status or None for SystemExit,
+#  flood-fresh wall_s verdict, text the report must contain)
+CASES = {
+    "worse-beyond-bound": (
+        _walls(1.0, 1.0, 1.0), _walls(1.3, 1.3, 1.3), 1, "worse", "1 worse"
+    ),
+    "within-bound-ok": (
+        _walls(1.0, 1.0, 1.0), _walls(1.2, 1.2, 1.2), 0, "ok", "0/3 seeds"
+    ),
+    "wide-spread-unresolved": (
+        _walls(0.7, 1.0, 1.4), _walls(1.0, 1.0, 1.0), 0, "unresolved", "1 unresolved"
+    ),
+    "wide-spread-all-better-ok": (
+        _walls(0.7, 1.0, 1.4), _walls(0.5, 0.5, 0.5), 0, "ok", "3/3 seeds"
+    ),
+    "higher-failed-share": (
+        _walls(1.0, 1.0, 1.0),
+        _walls(1.0, 1.0) + [_run(1.0, 3, failed=0.5)],
+        1,
+        "ok",
+        "1 worse",
+    ),
+    "traced-ignored": (
+        _walls(1.0, 1.0, 1.0) + [{"workload": "flood-fresh", "seed": 1, "trace": 1}],
+        _walls(1.0, 1.0, 1.0) + [{"workload": "flood-fresh", "seed": 1, "trace": 1}],
+        0,
+        "ok",
+        "(3 untraced runs)",
+    ),
+    "one-sided-workload": (
+        _walls(1.0, 1.0, 1.0),
+        _walls(1.0, 1.0, 1.0) + [_run(9.0, 1, workload="gossip-held")],
+        0,
+        "ok",
+        "not compared, only in change: gossip-held",
+    ),
+    "malformed-record": (
+        _walls(1.0, 1.0, 1.0), _walls(1.0, 1.0, 1.0) + ["{not json"], None, None, "run3.json"
+    ),
 }
 
 
-def _record(speedup: float, mode: str = "quick") -> dict:
-    workloads = {
-        name: [dict(rows[-1], speedup=speedup)]
-        for name, rows in WORKLOADS.items()
+@pytest.mark.parametrize(
+    "parent, change, status, verdict, text", CASES.values(), ids=list(CASES)
+)
+def test_report_cases(tmp_path, parent, change, status, verdict, text):
+    _write(tmp_path / "parent", parent)
+    _write(tmp_path / "change", change)
+    if status is None:
+        with pytest.raises(SystemExit, match=text):
+            render_report(tmp_path / "parent", tmp_path / "change", METRICS)
+        return
+    report, code = render_report(tmp_path / "parent", tmp_path / "change", METRICS)
+    assert code == status
+    assert text in report
+    rows, _ = compare(
+        load_runs(tmp_path / "parent", METRICS), load_runs(tmp_path / "change", METRICS), METRICS
+    )
+    assert {row["workload"] for row in rows} == {"flood-fresh"}
+    verdicts = {row["metric"]: row["verdict"] for row in rows}
+    assert verdicts == {
+        "setup_s": "ok", "wall_s": verdict, "throughput_mnr_s": "ok", "peak_rss_mib": "ok"
     }
-    return make_record(
-        mode=mode, workloads=workloads, wall_s=1.0, git_rev="abc1234"
-    )
-
-
-class TestRecord:
-    def test_schema_fields(self):
-        record = make_record(
-            mode="quick", workloads=WORKLOADS, wall_s=12.5, git_rev="abc1234"
-        )
-        assert record["schema"] == SCHEMA_VERSION
-        assert record["mode"] == "quick"
-        assert record["git_rev"] == "abc1234"
-        assert record["wall_s"] == 12.5
-        assert record["recorded_at"] > 0
-        assert record["python"].count(".") == 2
-        # Only the largest size of each workload is summarised.
-        flooding = record["workloads"]["flooding (static)"]
-        assert flooding["n"] == 256
-        assert flooding["speedup"] == 20.0
-
-    def test_git_rev_autodetected_in_repo(self, tmp_path):
-        record = make_record(
-            mode="quick", workloads={}, wall_s=0.0, cwd=str(tmp_path)
-        )
-        assert record["git_rev"] is None  # tmp_path is not a checkout
-
-
-class TestTrajectory:
-    def test_append_and_load_roundtrip(self, tmp_path):
-        path = tmp_path / "BENCH_trajectory.json"
-        assert load_trajectory(path) == []
-        assert append_record(_record(10.0), path) == 1
-        assert append_record(_record(11.0), path) == 2
-        runs = load_trajectory(path)
-        assert len(runs) == 2
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == SCHEMA_VERSION
-        assert "description" in payload
-
-    def test_load_rejects_non_trajectory(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text('{"counters": {}}')
-        with pytest.raises(ValueError):
-            load_trajectory(path)
-
-    @pytest.mark.parametrize(
-        "name", ["BENCH_trajectory.json", "BENCH_scale.json"]
-    )
-    def test_committed_trajectories_parse(self, name):
-        # The committed trajectories must load, and every record must
-        # carry the fields compare_latest keys on.
-        from pathlib import Path
-
-        path = Path(__file__).parents[2] / "benchmarks" / name
-        runs = load_trajectory(path)
-        assert runs, f"{name} should hold at least one real record"
-        for record in runs:
-            assert record["schema"] == SCHEMA_VERSION
-            assert record["mode"] in ("quick", "full")
-            assert record["workloads"]
-            for workload in record["workloads"].values():
-                assert workload["speedup"] > 0
-
-
-class TestCompare:
-    def test_improvement_is_ok(self):
-        rows, status = compare_latest([_record(10.0), _record(12.0)])
-        assert status == 0
-        assert all(row["verdict"] == "ok" for row in rows)
-
-    def test_regression_flagged(self):
-        rows, status = compare_latest(
-            [_record(10.0), _record(5.0)], threshold=0.8
-        )
-        assert status == 1
-        assert all(row["verdict"] == "REGRESSION" for row in rows)
-        assert rows[0]["ratio"] == pytest.approx(0.5)
-
-    def test_threshold_tolerates_noise(self):
-        _, status = compare_latest([_record(10.0), _record(9.0)], threshold=0.8)
-        assert status == 0
-
-    def test_baseline_must_match_mode(self):
-        runs = [_record(10.0, mode="full"), _record(5.0, mode="quick")]
-        rows, status = compare_latest(runs)
-        assert status == 0  # no same-mode baseline: everything is "new"
-        assert all(row["verdict"] == "new" for row in rows)
-
-    def test_empty(self):
-        assert compare_latest([]) == ([], 0)
-
-
-class TestRenderReport:
-    def test_missing_trajectory(self, tmp_path):
-        text, status = render_report(tmp_path / "nope.json")
-        assert status == 0  # no history is a clean state, not a failure
-        assert "no benchmark runs" in text
-        assert "bench_engine.py" in text  # says how to record the first
-
-    def test_single_run(self, tmp_path):
-        path = tmp_path / "t.json"
-        append_record(_record(10.0), path)
-        text, status = render_report(path)
-        assert status == 0
-        assert "nothing to diff" in text
-
-    def test_regression_rendered(self, tmp_path):
-        path = tmp_path / "t.json"
-        append_record(_record(10.0), path)
-        append_record(_record(5.0), path)
-        text, status = render_report(path, threshold=0.8)
-        assert status == 1
-        assert "REGRESSION" in text
-        assert "abc1234" in text
-
-    def test_mode_filter(self, tmp_path):
-        path = tmp_path / "t.json"
-        append_record(_record(10.0, mode="full"), path)
-        append_record(_record(5.0, mode="quick"), path)
-        text, status = render_report(path, mode="full")
-        assert status == 0
-        assert "1 run(s)" in text
+    # The other metrics tie on every seed, and ties count for neither side.
+    assert [row["better"] for row in rows if row["metric"] != "wall_s"] == [0, 0, 0]
