@@ -147,20 +147,22 @@ verify-smoke:
 # (every check must pass: count == n exactly, never below the
 # Theorem 1 horizon; the fast run's table and checks must equal the
 # object run's, timing note aside, so a fused-batch divergence fails
-# here) plus a fixed-seed run of the counting suite (correctness +
-# object-vs-fast drain differentials).  Counterexample fixtures land
-# in .repro-zoo-verify/ for CI to archive on failure.
+# here; sizes 4 and 5 cover both orders in which MM and CMM finish)
+# plus a fixed-seed run of the counting suite (correctness +
+# object-vs-fast drain differentials; seed 0 at 60 units draws three
+# mixed-kind drain cases).  Counterexample fixtures land in
+# .repro-zoo-verify/ for CI to archive on failure.
 zoo-smoke:
 	@rm -rf .repro-zoo-verify .zoo-smoke.out .zoo-smoke-fast.out .zoo-smoke-object.txt
-	$(PYTHON) -m repro run upper-vs-lower --param "sizes=(3,5)" \
+	$(PYTHON) -m repro run upper-vs-lower --param "sizes=(3,4,5)" \
 		| tee .zoo-smoke.out
 	grep -q "memoryless_random_dv_exact: PASS" .zoo-smoke.out
 	! grep -q "FAIL" .zoo-smoke.out
-	$(PYTHON) -m repro run upper-vs-lower --param "sizes=(3,5)" \
+	$(PYTHON) -m repro run upper-vs-lower --param "sizes=(3,4,5)" \
 		--backend fast > .zoo-smoke-fast.out
 	grep -v "^note: timing:" .zoo-smoke.out > .zoo-smoke-object.txt
 	grep -v "^note: timing:" .zoo-smoke-fast.out | diff .zoo-smoke-object.txt -
-	$(PYTHON) -m repro verify --suite counting --fuzz 40 --seed 0 \
+	$(PYTHON) -m repro verify --suite counting --fuzz 60 --seed 0 \
 		--fixtures-dir .repro-zoo-verify
 	@rm -f .zoo-smoke.out .zoo-smoke-fast.out .zoo-smoke-object.txt
 

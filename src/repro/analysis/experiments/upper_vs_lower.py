@@ -14,12 +14,15 @@ Every algorithm must also be *correct* (``count == n``) on every cell;
 the drain-based algorithms run on the selected backend (their fast
 path is bit-identical), the history-tree ones are object-engine only.
 
-Each runner takes one size's family networks at once.  On the fast
-backend a drain counter runs them as one fused batch (one engine run
-per size and counter, not per network); batching per size rather than
-across sizes keeps lanes of equal ``n`` together, which stop in the
-same round, so no finished lane is carried through extra rounds.  The
-object backend stays the per-network oracle.
+On the fast backend the two drain counters run one size's family
+networks as one fused batch: every network under both MM and CMM, six
+lanes of one engine run, so each shared round is drawn once and built
+into one CSR stack (each lane must still output within its own
+counter's round budget).  The run lasts as long as the
+slower counter; batching per size rather than across sizes keeps
+lanes of equal ``n`` together, so few finished lanes are carried
+through extra rounds.  The object backend stays the per-network
+oracle.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ from repro.analysis.registry import ExperimentResult
 from repro.core.counting.diluna_viglietta import count_diluna_viglietta
 from repro.core.counting.drain import (
     count_chakraborty_mm,
-    count_chakraborty_mm_batch,
+    count_drain_batch,
     count_milani_mosteiro,
-    count_milani_mosteiro_batch,
 )
 from repro.core.counting.kowalski_mosteiro import count_kowalski_mosteiro
 from repro.core.lowerbound.bounds import theorem1_bound
@@ -42,45 +44,32 @@ from repro.networks.generators.t_interval import t_interval_network
 __all__ = ["upper_vs_lower"]
 
 
-def _drain(networks, backend, single, batch):
-    """One fused fast batch, or the object oracle network by network."""
+#: The zoo's columns, in presentation order.
+_LABELS = ("DV", "KM(l=2)", "MM", "CMM")
+
+
+def _drains(networks, backend):
+    """MM and CMM outcomes over one size's family networks.
+
+    On the fast backend every network runs under both counters as one
+    fused batch; the object backend is the per-network oracle.
+    """
     if backend == "fast":
-        return batch(networks)
-    return [single(network, backend=backend) for network in networks]
-
-
-#: The zoo, in presentation order.  Each entry maps the column label to
-#: a runner ``f(networks, backend) -> [CountingOutcome, ...]`` over one
-#: size's family networks; history-tree algorithms ignore the backend
-#: (they do not vectorize).  The counters are looked up when a runner
-#: is called, so wrapping a module attribute (tracing, tests) reaches it.
-_ALGORITHMS = (
-    (
-        "DV",
-        lambda networks, backend: [
-            count_diluna_viglietta(network) for network in networks
-        ],
-    ),
-    (
-        "KM(l=2)",
-        lambda networks, backend: [
-            count_kowalski_mosteiro(network, supervisors=2)
+        count = len(networks)
+        outcomes = count_drain_batch(
+            networks * 2, ["doubling"] * count + ["incremental"] * count
+        )
+        return {"MM": outcomes[:count], "CMM": outcomes[count:]}
+    return {
+        "MM": [
+            count_milani_mosteiro(network, backend=backend)
             for network in networks
         ],
-    ),
-    (
-        "MM",
-        lambda networks, backend: _drain(
-            networks, backend, count_milani_mosteiro, count_milani_mosteiro_batch
-        ),
-    ),
-    (
-        "CMM",
-        lambda networks, backend: _drain(
-            networks, backend, count_chakraborty_mm, count_chakraborty_mm_batch
-        ),
-    ),
-)
+        "CMM": [
+            count_chakraborty_mm(network, backend=backend)
+            for network in networks
+        ],
+    }
 
 
 def _families(n: int, seed: int, t_window: int) -> dict[str, DynamicGraph]:
@@ -108,7 +97,9 @@ def upper_vs_lower(
         seed: Seed for every stochastic family.
         t_window: Stability window of the T-interval family.
         backend: Simulation backend for the vectorized (drain)
-            algorithms.
+            algorithms.  ``"fast"`` runs each size's MM and CMM lanes
+            as one fused batch; ``"object"`` runs every network and
+            counter on its own.
 
     Returns:
         One row per ``family x n`` with the Theorem 1 horizon and each
@@ -122,21 +113,27 @@ def upper_vs_lower(
     checks: dict[str, bool] = {}
     family_names = list(_families(min(sizes), seed, t_window))
     exact = {
-        (family, label): True
-        for family in family_names
-        for label, _runner in _ALGORITHMS
+        (family, label): True for family in family_names for label in _LABELS
     }
     above = dict(exact)
     for n in sizes:
         horizon = theorem1_bound(n)
         networks = _families(n, seed, t_window)
+        family_networks = list(networks.values())
+        # History-tree counters ignore the backend (they do not
+        # vectorize).  Every counter is looked up here, at call time, so
+        # wrapping a module attribute (tracing, tests) reaches it.
         outcomes = {
-            label: runner(list(networks.values()), backend)
-            for label, runner in _ALGORITHMS
+            "DV": [count_diluna_viglietta(net) for net in family_networks],
+            "KM(l=2)": [
+                count_kowalski_mosteiro(net, supervisors=2)
+                for net in family_networks
+            ],
+            **_drains(family_networks, backend),
         }
         for index, family in enumerate(networks):
             row = {"family": family, "n": n, "thm1 horizon": horizon}
-            for label, _runner in _ALGORITHMS:
+            for label in _LABELS:
                 outcome = outcomes[label][index]
                 row[f"{label} round"] = outcome.output_round
                 exact[(family, label)] &= outcome.count == n
@@ -144,7 +141,7 @@ def upper_vs_lower(
             rows.append(row)
     for family in family_names:
         key = family.replace("-", "_")
-        for label, _runner in _ALGORITHMS:
+        for label in _LABELS:
             algo = label.split("(")[0].lower()
             checks[f"{key}_{algo}_exact"] = exact[(family, label)]
             checks[f"{key}_{algo}_above_horizon"] = above[(family, label)]
@@ -152,7 +149,7 @@ def upper_vs_lower(
         experiment="upper-vs-lower",
         title="Extension: counting upper bounds vs the Theorem 1 horizon",
         headers=["family", "n", "thm1 horizon"]
-        + [f"{label} round" for label, _runner in _ALGORITHMS],
+        + [f"{label} round" for label in _LABELS],
         rows=rows,
         checks=checks,
         notes=[

@@ -39,6 +39,7 @@ from repro.core.counting.diluna_viglietta import count_diluna_viglietta
 from repro.core.counting.drain import (
     count_chakraborty_mm,
     count_chakraborty_mm_batch,
+    count_drain_batch,
     count_milani_mosteiro,
     count_milani_mosteiro_batch,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "count_chakraborty_mm",
     "count_chakraborty_mm_batch",
     "count_diluna_viglietta",
+    "count_drain_batch",
     "count_kowalski_mosteiro",
     "count_mdbl2",
     "count_mdbl2_abstract",

@@ -59,6 +59,7 @@ from repro.simulation.fast import (
     VectorizedProtocol,
     resolve_backend,
 )
+from repro.simulation.errors import TerminationError
 from repro.simulation.messages import Inbox
 from repro.simulation.node import Process
 
@@ -68,11 +69,11 @@ __all__ = [
     "VectorizedDrain",
     "count_chakraborty_mm",
     "count_chakraborty_mm_batch",
+    "count_drain_batch",
     "count_milani_mosteiro",
     "count_milani_mosteiro_batch",
     "doubling_candidates",
     "incremental_candidates",
-    "plan_phases",
 ]
 
 @dataclass(frozen=True)
@@ -139,29 +140,6 @@ def incremental_candidates() -> Iterator[int]:
     while True:
         yield k
         k += 1
-
-
-def plan_phases(
-    candidates: Iterator[int], *, until_candidate: int
-) -> tuple[DrainPhase, ...]:
-    """Materialise the phase schedule up to the first ``k`` at the target.
-
-    The infinite schedule is truncated for simulation only -- the round
-    budget of a run is the total length of the planned phases, so a run
-    that exhausts it raises the engine's ``TerminationError`` rather
-    than looping forever.
-    """
-    if until_candidate < 1:
-        raise ValueError("until_candidate must be at least 1")
-    phases: list[DrainPhase] = []
-    start = 0
-    for k in candidates:
-        phase = DrainPhase(k, _drain_rounds(k), _flood_rounds(k), start)
-        phases.append(phase)
-        start = phase.stop
-        if k >= until_candidate:
-            return tuple(phases)
-    raise ValueError("candidate iterator exhausted early")  # pragma: no cover
 
 
 def default_drain_target(n: int) -> int:
@@ -301,6 +279,26 @@ def certify(
     return low if low == high else None
 
 
+@dataclass
+class _PhaseGroup:
+    """The lanes of a :class:`VectorizedDrain` that share one plan.
+
+    Attributes:
+        plan: The group's phase plan.
+        lanes: Chunk-local lane indices, ascending.
+        leaders: Stacked leader index of each lane in ``lanes``.
+        nodes: The group's stacked nodes: ``slice(None)`` when the
+            group is the whole run, else an index array.
+        cursor: Index of the group's current phase in ``plan``.
+    """
+
+    plan: tuple[DrainPhase, ...]
+    lanes: list[int]
+    leaders: np.ndarray
+    nodes: slice | np.ndarray
+    cursor: int = 0
+
+
 class VectorizedDrain(VectorizedProtocol):
     """Fast-backend mass drain, bit-identical to :class:`DrainProcess`.
 
@@ -311,23 +309,42 @@ class VectorizedDrain(VectorizedProtocol):
     Exactness makes summation order irrelevant, so outputs, rounds and
     engine counters match the object engine byte-for-byte.
 
-    All lanes share one schedule (it is ``n``-independent), so phase
-    bookkeeping is a single cursor; per-lane state is only the leader
-    scalars (``rho``, ``rho_stamp``) and the decision bookkeeping.
+    Every lane carries its own phase plan.  Lanes with equal plans form
+    a *group* with one phase cursor, reset, snapshot, flood window and
+    decision; per-lane state is only the leader scalars (``rho``,
+    ``rho_stamp``) and the decision bookkeeping.  Each node divides by
+    its group's ``k + 1``; a group reset or flood touches only its own
+    nodes (the whole arrays when one group spans the run).  Neighbours
+    never cross lanes, so the shared gathers stay exact.
+
+    Each plan must cover the engine's round budget: the phase cursor
+    never runs past the end of a plan.
+
+    Args:
+        plans: One phase plan per lane, in lane order.
+        confirmations: Consecutive certifying phases a leader needs
+            before it outputs (see :class:`DrainProcess`).
     """
 
     def __init__(
-        self, phases: Sequence[DrainPhase], *, confirmations: int = 1
+        self,
+        plans: Sequence[Sequence[DrainPhase]],
+        *,
+        confirmations: int = 1,
     ) -> None:
-        if not phases:
-            raise ValueError("need at least one phase")
+        self.plans = [tuple(plan) for plan in plans]
+        if not self.plans or not all(self.plans):
+            raise ValueError("need at least one lane, each with a phase")
         if confirmations < 1:
             raise ValueError("confirmations must be at least 1")
-        self.phases = tuple(phases)
         self.confirmations = confirmations
         self.details: list[dict[str, Any] | None] = []
 
     def allocate(self, layouts: Sequence[LaneLayout]) -> None:
+        if len(layouts) != len(self.plans):
+            raise ValueError(
+                f"{len(self.plans)} lane plans for {len(layouts)} lanes"
+            )
         self._layouts = list(layouts)
         total = layouts[-1].stop
         self._total = total
@@ -340,6 +357,7 @@ class VectorizedDrain(VectorizedProtocol):
         self._phi = np.empty(total, dtype=object)
         self._flood = np.empty(total, dtype=object)
         self._dirty = np.zeros(total, dtype=np.int8)
+        self._divisor = np.empty(total, dtype=object)
         lanes = len(layouts)
         self._rho: list[int] = [0] * lanes
         self._rho_stamp: list[int] = [0] * lanes
@@ -349,17 +367,60 @@ class VectorizedDrain(VectorizedProtocol):
         self._done = np.zeros(lanes, dtype=bool)
         self._mask = np.zeros(total, dtype=bool)
         self.details = [None] * lanes
-        self._cursor = 0
-        self._reset_phase(self.phases[0])
+        self._groups = self._group_lanes()
+        for group in self._groups:
+            self._reset_phase(group)
 
-    def _reset_phase(self, phase: DrainPhase) -> None:
-        self._phi[:] = phase.grid
-        self._phi[self._leaders] = 0
-        self._flood[:] = 0
-        self._dirty[:] = 0
-        lanes = len(self._layouts)
-        self._rho = [0] * lanes
-        self._rho_stamp = [0] * lanes
+    def _group_lanes(self) -> list[_PhaseGroup]:
+        members: dict[tuple[DrainPhase, ...], list[int]] = {}
+        for lane, plan in enumerate(self.plans):
+            members.setdefault(plan, []).append(lane)
+        groups = []
+        for plan, lanes in members.items():
+            nodes: slice | np.ndarray = slice(None)
+            if len(members) > 1:
+                nodes = np.concatenate(
+                    [
+                        np.arange(
+                            self._layouts[lane].offset,
+                            self._layouts[lane].stop,
+                        )
+                        for lane in lanes
+                    ]
+                )
+            groups.append(
+                _PhaseGroup(plan, lanes, self._leaders[lanes], nodes)
+            )
+        return groups
+
+    def _reset_phase(self, group: _PhaseGroup) -> None:
+        phase = group.plan[group.cursor]
+        nodes = group.nodes
+        self._phi[nodes] = phase.grid
+        self._phi[group.leaders] = 0
+        self._flood[nodes] = 0
+        self._dirty[nodes] = 0
+        self._divisor[nodes] = phase.candidate + 1
+        for lane in group.lanes:
+            self._rho[lane] = 0
+            self._rho_stamp[lane] = 0
+
+    def _advance(
+        self, round_no: int
+    ) -> list[tuple[_PhaseGroup, DrainPhase, int]]:
+        """Move every group to its phase of ``round_no``.
+
+        Returns ``(group, phase, local round)`` per group.
+        """
+        live = []
+        for group in self._groups:
+            phase = group.plan[group.cursor]
+            if round_no >= phase.stop:
+                group.cursor += 1
+                phase = group.plan[group.cursor]
+                self._reset_phase(group)
+            live.append((group, phase, round_no - phase.start))
+        return live
 
     @staticmethod
     def _gather_reduce(
@@ -376,7 +437,6 @@ class VectorizedDrain(VectorizedProtocol):
         (``reduceat`` yields the *next* element there, not the unit).
         """
         indptr = adjacency.matrix.indptr
-        total = len(indptr) - 1
         gathered = values[adjacency.matrix.indices]
         gathered = np.append(gathered, np.asarray([fill], dtype=values.dtype))
         reduced = reducer.reduceat(gathered, indptr[:-1])
@@ -388,27 +448,28 @@ class VectorizedDrain(VectorizedProtocol):
     def step(
         self, round_no: int, adjacency: CSRAdjacency, active: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        phase = self.phases[self._cursor]
-        if round_no >= phase.stop:
-            self._cursor += 1
-            phase = self.phases[self._cursor]
-            self._reset_phase(phase)
-        local = round_no - phase.start
-        k = phase.candidate
+        live = self._advance(round_no)
         degrees = adjacency.degrees
 
-        shares = self._phi // (k + 1)
+        shares = self._phi // self._divisor
         received = self._gather_reduce(adjacency, shares, np.add, 0)
         # Dirty flags and certify floods travel as composed *before*
         # this round's update, so gather from the pre-update state.
         neighbour_dirty = self._gather_reduce(
             adjacency, self._dirty, np.maximum, np.int8(0)
         )
-        if local >= phase.drain:
+        flooding = [
+            group for group, phase, local in live if local >= phase.drain
+        ]
+        if flooding:
             neighbour_flood = self._gather_reduce(
                 adjacency, self._flood, np.maximum, 0
             )
-            self._flood = np.maximum(self._flood, neighbour_flood)
+            for group in flooding:
+                nodes = group.nodes
+                self._flood[nodes] = np.maximum(
+                    self._flood[nodes], neighbour_flood[nodes]
+                )
 
         residual = self._phi - shares * degrees
         negative = np.less(residual, 0).astype(bool)
@@ -421,21 +482,22 @@ class VectorizedDrain(VectorizedProtocol):
         self._phi = residual + received
         self._phi[self._leaders] = 0
 
-        if local == phase.drain - 1:
-            self._flood = self._phi.copy()
-            for lane, leader in enumerate(self._leaders):
-                self._rho_stamp[lane] = self._rho[lane]
-        if local == phase.length - 1:
-            self._decide(phase)
+        for group, phase, local in live:
+            if local == phase.drain - 1:
+                self._flood[group.nodes] = self._phi[group.nodes]
+                for lane in group.lanes:
+                    self._rho_stamp[lane] = self._rho[lane]
+            if local == phase.length - 1:
+                self._decide(group, phase)
 
         sending = np.ones(self._total, dtype=bool)
         return sending, degrees
 
-    def _decide(self, phase: DrainPhase) -> None:
-        for lane, layout in enumerate(self._layouts):
+    def _decide(self, group: _PhaseGroup, phase: DrainPhase) -> None:
+        for lane in group.lanes:
             if self._done[lane]:
                 continue
-            leader = layout.leader
+            leader = self._layouts[lane].leader
             q = certify(
                 phase,
                 rho=self._rho[lane],
@@ -454,7 +516,7 @@ class VectorizedDrain(VectorizedProtocol):
                 self._mask[leader] = True
                 self.details[lane] = {
                     "candidate": phase.candidate,
-                    "phases": self._cursor + 1,
+                    "phases": group.cursor + 1,
                     "confirmations": self._streak[lane],
                 }
 
@@ -470,7 +532,8 @@ class VectorizedDrain(VectorizedProtocol):
 
     def subset(self, indices: Sequence[int]) -> "VectorizedDrain":
         return VectorizedDrain(
-            self.phases, confirmations=self.confirmations
+            [self.plans[index] for index in indices],
+            confirmations=self.confirmations,
         )
 
     def absorb(self, sub: "VectorizedDrain", indices: Sequence[int]) -> None:
@@ -482,21 +545,28 @@ class VectorizedDrain(VectorizedProtocol):
             self.details[index] = sub.details[local]
 
 
+#: The drain kinds: candidate schedule and reported algorithm name.
+_KINDS = {
+    "doubling": (doubling_candidates, "milani-mosteiro"),
+    "incremental": (incremental_candidates, "chakraborty-milani-mosteiro"),
+}
+
+
 def _schedule_for(kind: str, n: int, max_rounds: int | None) -> tuple[
     tuple[DrainPhase, ...], int
 ]:
     """The planned phases and round budget for one network of size ``n``.
 
     The plan always covers the requested round budget, so the phase
-    cursor can never run off the end of the schedule mid-run.
+    cursor can never run off the end of the schedule mid-run.  A larger
+    ``n`` only extends the plan, so the plan for a batch's largest
+    network covers every smaller one.
     """
-    candidates = (
-        doubling_candidates() if kind == "doubling" else incremental_candidates()
-    )
+    candidates, _algorithm = _KINDS[kind]
     target = default_drain_target(n)
     phases: list[DrainPhase] = []
     start = 0
-    for k in candidates:
+    for k in candidates():
         phase = DrainPhase(k, _drain_rounds(k), _flood_rounds(k), start)
         phases.append(phase)
         start = phase.stop
@@ -509,7 +579,6 @@ def _count_drain(
     network: DynamicGraph,
     *,
     kind: str,
-    algorithm: str,
     leader: int,
     backend: str,
     max_rounds: int | None,
@@ -518,10 +587,9 @@ def _count_drain(
 ) -> CountingOutcome:
     resolve_backend(backend)
     if backend == "fast":
-        return _count_drain_batch(
+        return count_drain_batch(
             [network],
-            kind=kind,
-            algorithm=algorithm,
+            [kind],
             leader=leader,
             max_rounds=max_rounds,
             max_lane_nodes=max_lane_nodes,
@@ -548,31 +616,62 @@ def _count_drain(
         count=int(result.leader_output),
         output_round=result.rounds - 1,
         rounds=result.rounds,
-        algorithm=algorithm,
+        algorithm=_KINDS[kind][1],
         detail=processes[leader].decision_detail or {},
     )
 
 
-def _count_drain_batch(
+def count_drain_batch(
     networks: Sequence[DynamicGraph],
+    kinds: Sequence[str],
     *,
-    kind: str,
-    algorithm: str,
-    leader: int,
-    max_rounds: int | None,
-    max_lane_nodes: int | None,
-    confirmations: int,
+    leader: int = 0,
+    max_rounds: int | None = None,
+    max_lane_nodes: int | None = None,
+    confirmations: int = 1,
 ) -> list[CountingOutcome]:
+    """Drain counts for many networks, fused into one fast batch.
+
+    ``kinds[i]`` picks network ``i``'s candidate schedule:
+    ``"doubling"`` (Milani-Mosteiro) or ``"incremental"``
+    (Chakraborty-Milani-Mosteiro).  The engine runs to the largest of
+    the kinds' round budgets, and every kind's plan is extended to
+    cover it.  Each outcome equals the one its one-kind batch returns,
+    and a lane that does not output within its own kind's budget raises
+    :class:`TerminationError`.  A network may appear more than once,
+    under both kinds for instance: the engine draws each distinct
+    network once per round.
+    """
+    networks = list(networks)
+    kinds = list(kinds)
+    if len(kinds) != len(networks):
+        raise ValueError(
+            f"{len(kinds)} kinds for {len(networks)} networks"
+        )
+    unknown = sorted(set(kinds) - set(_KINDS))
+    if unknown:
+        raise ValueError(
+            f"unknown drain kinds {unknown}; expected {sorted(_KINDS)}"
+        )
     if not networks:
         return []
-    schedules = [
-        _schedule_for(kind, network.n, max_rounds) for network in networks
-    ]
-    # One shared schedule: it is n-independent, so the largest plan
-    # covers every lane and keeps the phase cursor global.
-    phases = max((plan for plan, _ in schedules), key=lambda plan: plan[-1].stop)
-    budget = max(budget for _, budget in schedules)
-    protocol = VectorizedDrain(phases, confirmations=confirmations)
+    largest: dict[str, int] = {}
+    for network, kind in zip(networks, kinds):
+        largest[kind] = max(largest.get(kind, 0), network.n)
+    budgets = {
+        kind: _schedule_for(kind, n, max_rounds)[1]
+        for kind, n in largest.items()
+    }
+    budget = max(budgets.values())
+    # Every plan covers the fused budget; a longer plan only extends a
+    # kind's own, so lanes that output in time are unaffected.
+    plans = {
+        kind: _schedule_for(kind, n, budget)[0]
+        for kind, n in largest.items()
+    }
+    protocol = VectorizedDrain(
+        [plans[kind] for kind in kinds], confirmations=confirmations
+    )
     lanes = [FastLane(network, network.n, leader=leader) for network in networks]
     engine = FastEngine(
         protocol,
@@ -580,15 +679,27 @@ def _count_drain_batch(
         config=EngineConfig(max_rounds=budget, stop_when="leader"),
         max_lane_nodes=max_lane_nodes,
     )
+    results = engine.run()
+    late = [
+        index
+        for index, (kind, result) in enumerate(zip(kinds, results))
+        if result.rounds > budgets[kind]
+    ]
+    if late:
+        # Only the kind with the smaller budget can run late.
+        raise TerminationError(
+            f"stop criterion 'leader' not met within "
+            f"{budgets[kinds[late[0]]]} rounds (lanes {late[:10]})"
+        )
     return [
         CountingOutcome(
             count=int(result.leader_output),
             output_round=result.rounds - 1,
             rounds=result.rounds,
-            algorithm=algorithm,
+            algorithm=_KINDS[kind][1],
             detail=protocol.details[index] or {},
         )
-        for index, result in enumerate(engine.run())
+        for index, (kind, result) in enumerate(zip(kinds, results))
     ]
 
 
@@ -605,7 +716,6 @@ def count_milani_mosteiro(
     return _count_drain(
         network,
         kind="doubling",
-        algorithm="milani-mosteiro",
         leader=leader,
         backend=backend,
         max_rounds=max_rounds,
@@ -623,10 +733,10 @@ def count_milani_mosteiro_batch(
     confirmations: int = 1,
 ) -> list[CountingOutcome]:
     """MM counts for many networks, fused into one fast batch."""
-    return _count_drain_batch(
+    networks = list(networks)
+    return count_drain_batch(
         networks,
-        kind="doubling",
-        algorithm="milani-mosteiro",
+        ["doubling"] * len(networks),
         leader=leader,
         max_rounds=max_rounds,
         max_lane_nodes=max_lane_nodes,
@@ -647,7 +757,6 @@ def count_chakraborty_mm(
     return _count_drain(
         network,
         kind="incremental",
-        algorithm="chakraborty-milani-mosteiro",
         leader=leader,
         backend=backend,
         max_rounds=max_rounds,
@@ -665,10 +774,10 @@ def count_chakraborty_mm_batch(
     confirmations: int = 1,
 ) -> list[CountingOutcome]:
     """CMM counts for many networks, fused into one fast batch."""
-    return _count_drain_batch(
+    networks = list(networks)
+    return count_drain_batch(
         networks,
-        kind="incremental",
-        algorithm="chakraborty-milani-mosteiro",
+        ["incremental"] * len(networks),
         leader=leader,
         max_rounds=max_rounds,
         max_lane_nodes=max_lane_nodes,

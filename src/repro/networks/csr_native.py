@@ -228,15 +228,23 @@ class DynamicGraph:
         them, are drawn with one ``edges_batch`` call and validated once
         as a stack; their arrays bypass the per-graph edge LRU, which is
         safe because providers are pure.  Every other graph, and a
-        batch group of one, goes through :meth:`edges` unchanged.  The
-        arrays equal ``[graph.edges(round_no) for graph in graphs]`` in
-        value and dtype.
+        batch group of one, goes through :meth:`edges` unchanged.  A
+        graph listed more than once (one network under two protocols)
+        is drawn once and its arrays shared.  The arrays equal
+        ``[graph.edges(round_no) for graph in graphs]`` in value and
+        dtype.
         """
         if round_no < 0:
             raise ValueError("round numbers start at 0")
         out: list[EdgeArrays | None] = [None] * len(graphs)
+        firsts: dict[int, int] = {}
+        repeats: list[tuple[int, int]] = []
         groups: dict[object, list[int]] = {}
         for index, graph in enumerate(graphs):
+            first = firsts.setdefault(id(graph), index)
+            if first != index:
+                repeats.append((index, first))
+                continue
             owner = getattr(graph, "_batch_owner", None)
             if owner is None:
                 out[index] = graph.edges(round_no)
@@ -260,6 +268,8 @@ class DynamicGraph:
             for lane, index in enumerate(indices):
                 lo, hi = bounds[lane], bounds[lane + 1]
                 out[index] = (u[lo:hi], v[lo:hi])
+        for index, first in repeats:
+            out[index] = out[first]
         return out
 
     # -- the CSR view (verification oracle) ---------------------------

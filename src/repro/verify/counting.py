@@ -17,6 +17,8 @@ free oracle:
   ``max_lane_nodes``) must agree on the full
   :class:`~repro.core.counting.base.CountingOutcome` *and* on the
   ``engine.*`` observability counters, exactly like the backend suite.
+  ``drain-mixed`` cases run every network under both drains as one
+  fused batch, the zoo's fast path, checked unchunked and chunked.
 
 The history-tree algorithms (Di Luna-Viglietta, Kowalski-Mosteiro) do
 not vectorize, so they run correctness-only on the object engine.
@@ -28,9 +30,8 @@ from repro.core.counting.base import CountingOutcome
 from repro.core.counting.diluna_viglietta import count_diluna_viglietta
 from repro.core.counting.drain import (
     count_chakraborty_mm,
-    count_chakraborty_mm_batch,
+    count_drain_batch,
     count_milani_mosteiro,
-    count_milani_mosteiro_batch,
 )
 from repro.core.counting.kowalski_mosteiro import count_kowalski_mosteiro
 from repro.core.lowerbound.bounds import theorem1_bound
@@ -40,13 +41,10 @@ from repro.verify.strategies import Case, build_network
 
 __all__ = ["case_population", "check_counting_case"]
 
-_DRAIN_SINGLE = {
-    "milani-mosteiro": count_milani_mosteiro,
-    "chakraborty-mm": count_chakraborty_mm,
-}
-_DRAIN_BATCH = {
-    "milani-mosteiro": count_milani_mosteiro_batch,
-    "chakraborty-mm": count_chakraborty_mm_batch,
+#: Drain case kind -> (object-engine counter, fast batch kind).
+_DRAINS = {
+    "milani-mosteiro": (count_milani_mosteiro, "doubling"),
+    "chakraborty-mm": (count_chakraborty_mm, "incremental"),
 }
 
 
@@ -84,46 +82,79 @@ def _lane_networks(case: Case) -> list:
     ]
 
 
+def _drain_lanes(case: Case) -> list[tuple[int, str]]:
+    """``(network index, drain kind)`` per lane of a drain case.
+
+    A ``drain-mixed`` case runs every network under both drains, as the
+    zoo does: grouped by drain, or network by network with
+    ``interleave``.
+    """
+    networks = range(int(case.params.get("lanes", 1)))
+    if case.kind != "drain-mixed":
+        return [(index, case.kind) for index in networks]
+    if case.params.get("interleave"):
+        return [(index, kind) for index in networks for kind in _DRAINS]
+    return [(index, kind) for kind in _DRAINS for index in networks]
+
+
+def _drain_leg(
+    case: Case,
+    lanes: list[tuple[int, str]],
+    *,
+    fast: bool,
+    max_lane_nodes: int | None = None,
+) -> tuple[list[CountingOutcome], dict[str, float]]:
+    # Fresh networks per leg (identical by construction) so no leg can
+    # leak state through the per-round graph cache.  Within a leg the
+    # lanes of one network share its object, as in the zoo.
+    networks = _lane_networks(case)
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        if fast:
+            outcomes = count_drain_batch(
+                [networks[index] for index, _kind in lanes],
+                [_DRAINS[kind][1] for _index, kind in lanes],
+                max_lane_nodes=max_lane_nodes,
+            )
+        else:
+            outcomes = [
+                _DRAINS[kind][0](networks[index], backend="object")
+                for index, kind in lanes
+            ]
+    snapshot = registry.snapshot()["counters"]
+    return outcomes, {name: snapshot.get(name, 0) for name in ENGINE_COUNTERS}
+
+
 def _check_drain_case(case: Case, n: int) -> list[str]:
-    legs: dict[str, list[CountingOutcome]] = {}
-    counters: dict[str, dict[str, float]] = {}
-    for backend in ("object", "fast"):
-        # Fresh networks per leg (identical by construction) so neither
-        # leg can leak state through the per-round graph cache.
-        networks = _lane_networks(case)
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            if backend == "fast":
-                legs[backend] = _DRAIN_BATCH[case.kind](
-                    networks,
-                    max_lane_nodes=case.params.get("max_lane_nodes"),
-                )
-            else:
-                legs[backend] = [
-                    _DRAIN_SINGLE[case.kind](network, backend="object")
-                    for network in networks
-                ]
-        snapshot = registry.snapshot()["counters"]
-        counters[backend] = {
-            name: snapshot.get(name, 0) for name in ENGINE_COUNTERS
-        }
+    lanes = _drain_lanes(case)
+    budget = case.params.get("max_lane_nodes")
+    legs = {"object": _drain_leg(case, lanes, fast=False)}
+    if case.kind == "drain-mixed":
+        # The fused batch, both monolithic and chunked.
+        legs["fast"] = _drain_leg(case, lanes, fast=True)
+        legs[f"fast (max_lane_nodes={budget})"] = _drain_leg(
+            case, lanes, fast=True, max_lane_nodes=budget
+        )
+    else:
+        legs["fast"] = _drain_leg(case, lanes, fast=True, max_lane_nodes=budget)
 
     violations: list[str] = []
-    for lane, outcome in enumerate(legs["object"]):
-        violations.extend(
-            _correctness(outcome, n, f"{case.kind}[lane {lane}]")
-        )
-    if legs["object"] != legs["fast"]:
-        violations.append(
-            f"{case.kind}: object backend returned {legs['object']!r} "
-            f"but fast backend returned {legs['fast']!r}"
-        )
-    for name in ENGINE_COUNTERS:
-        if counters["object"][name] != counters["fast"][name]:
+    expected, expected_counters = legs.pop("object")
+    for lane, (outcome, (_index, kind)) in enumerate(zip(expected, lanes)):
+        violations.extend(_correctness(outcome, n, f"{kind}[lane {lane}]"))
+    for leg, (outcomes, counters) in legs.items():
+        if outcomes != expected:
             violations.append(
-                f"{case.kind}: counter {name} = {counters['object'][name]} "
-                f"(object) vs {counters['fast'][name]} (fast)"
+                f"{case.kind}: object backend returned {expected!r} "
+                f"but {leg} backend returned {outcomes!r}"
             )
+        for name in ENGINE_COUNTERS:
+            if counters[name] != expected_counters[name]:
+                violations.append(
+                    f"{case.kind}: counter {name} = "
+                    f"{expected_counters[name]} (object) vs "
+                    f"{counters[name]} ({leg})"
+                )
     return violations
 
 

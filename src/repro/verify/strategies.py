@@ -77,8 +77,10 @@ COUNTING_KINDS = (
     "kowalski-mosteiro",
     "milani-mosteiro",
     "chakraborty-mm",
+    "drain-mixed",
 )
-"""The algorithm zoo the counting suite fuzzes (``count == n``)."""
+"""The algorithm zoo the counting suite fuzzes (``count == n``);
+``drain-mixed`` runs both drains in one fused batch."""
 
 _COUNTING_FAMILIES = ("pd", "t-interval", "markov")
 
@@ -271,6 +273,13 @@ def _counting_case(rng: random.Random) -> Case:
         # an object-vs-fast (and chunked-vs-monolithic) differential.
         params["lanes"] = rng.randint(1, 2)
         params["max_lane_nodes"] = rng.choice([None, rng.randint(1, 4)])
+    if kind == "drain-mixed":
+        # Every network under both drains, fused; the fast leg runs
+        # unchunked and under this budget, which may hold one drain's
+        # lanes per chunk or both.
+        params["lanes"] = rng.randint(1, 2)
+        params["interleave"] = rng.random() < 0.5
+        params["max_lane_nodes"] = rng.randint(1, 12)
     return Case("counting", kind, rng.randrange(2**31), params)
 
 
@@ -405,6 +414,7 @@ _INT_MINS: dict[tuple[str | None, str], int] = {
     ("kowalski-mosteiro", "n"): 2,
     ("milani-mosteiro", "n"): 2,
     ("chakraborty-mm", "n"): 2,
+    ("drain-mixed", "n"): 2,
     (None, "t"): 1,
     (None, "prefix"): 1,
     (None, "r"): 0,

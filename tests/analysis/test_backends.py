@@ -53,16 +53,18 @@ BACKEND_EXPERIMENTS: dict[str, dict] = {
 }
 
 # Fast-engine work an experiment must do with the parameters above.
-# upper-vs-lower fuses each size's three family networks into one batch
-# per drain counter: 2 sizes x 2 counters, and one 3-lane stack build
-# per fused round (32 + 32 + 74 + 104 rounds).  One batch per network
-# would make 12 batches and 726 single-lane builds.
+# upper-vs-lower fuses each size's three family networks under both
+# drain counters into one 6-lane batch: 2 batches, and one stack build
+# per fused round, which lasts as long as the slower counter
+# (max(32, 32) + max(74, 104) rounds).  One batch per size and counter
+# would make 4 batches and 242 builds; one per network 12 and 726.
 FAST_COUNTERS: dict[str, dict[str, int]] = {
     "upper-vs-lower": {
-        "engine.fast.batches": 4,
-        "engine.fast.fused_rounds": 242,
-        "adjacency.builds": 242,
-        "adjacency.stack_builds": 242,
+        "engine.fast.batches": 2,
+        "engine.fast.fused_rounds": 136,
+        "adjacency.builds": 136,
+        "adjacency.native_builds": 136,
+        "adjacency.stack_builds": 136,
     },
 }
 

@@ -13,7 +13,13 @@ from repro.obs.bench import compare, load_metrics, load_runs, render_report
 ROOT = Path(__file__).resolve().parents[2]
 METRICS = load_metrics(ROOT / "BENCHMARK.json")
 #: Committed summaries whose ``runs`` carry a parent/change ``side`` tag.
-SIDED = ("history-solver", "fused-lane-build", "batched-sampling", "zoo-drain-batch")
+SIDED = (
+    "history-solver",
+    "fused-lane-build",
+    "batched-sampling",
+    "zoo-drain-batch",
+    "zoo-fused-drains",
+)
 
 
 def _write(directory: Path, records: list) -> None:
@@ -67,7 +73,7 @@ def test_reproduces_committed_summaries(tmp_path):
                         name, workload, metric
                     )
                     pairs += 1
-    assert (triples, pairs) == (128, 56)
+    assert (triples, pairs) == (160, 68)
 
 
 def _run(wall_s: float, seed: int, *, workload: str = "flood-fresh", failed: float = 0.0):

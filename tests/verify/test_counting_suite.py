@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.verify import generate_cases, run_verify, shrink_candidates
+import pytest
+
+from repro.verify import counting, generate_cases, run_verify, shrink_candidates
 from repro.verify.counting import case_population, check_counting_case
 from repro.verify.strategies import COUNTING_KINDS, Case, _clamp
 
@@ -25,6 +27,9 @@ class TestCountingCaseGeneration:
                 )
             if case.kind in ("milani-mosteiro", "chakraborty-mm"):
                 assert case.params["lanes"] >= 1
+            if case.kind == "drain-mixed":
+                assert case.params["lanes"] >= 1
+                assert case.params["max_lane_nodes"] >= 1
 
 
 class TestCountingOracle:
@@ -59,6 +64,39 @@ class TestCountingOracle:
             },
         )
         assert check_counting_case(case) == []
+
+    @pytest.mark.parametrize("interleave", [False, True])
+    def test_mixed_drain_case_passes(self, interleave):
+        case = Case(
+            "counting",
+            "drain-mixed",
+            seed=21,
+            params={
+                "family": "markov",
+                "n": 3,
+                "lanes": 2,
+                "interleave": interleave,
+                "max_lane_nodes": 6,
+            },
+        )
+        assert check_counting_case(case) == []
+
+    def test_mixed_drain_case_catches_a_wrong_fused_batch(self, monkeypatch):
+        real = counting.count_drain_batch
+
+        def all_doubling(networks, kinds, **kwargs):
+            return real(networks, ["doubling"] * len(kinds), **kwargs)
+
+        monkeypatch.setattr(counting, "count_drain_batch", all_doubling)
+        case = Case(
+            "counting",
+            "drain-mixed",
+            seed=21,
+            params={"family": "markov", "n": 3, "max_lane_nodes": 3},
+        )
+        violations = check_counting_case(case)
+        assert any("fast (max_lane_nodes=3) backend" in v for v in violations)
+        assert any("fast backend" in v for v in violations)
 
 
 class TestCountingShrinkBounds:
