@@ -93,7 +93,7 @@ class VectorizedFlood(VectorizedProtocol):
         delivered = adjacency.matvec(sending.astype(np.float64)).astype(
             np.int64
         )
-        self.informed |= delivered > 0
+        np.logical_or(self.informed, delivered, out=self.informed)
         return sending, delivered
 
     def output_mask(self) -> np.ndarray:
@@ -103,11 +103,8 @@ class VectorizedFlood(VectorizedProtocol):
         return self.informed
 
     def outputs_for(self, layout: LaneLayout) -> dict[int, bool]:
-        return {
-            index: True
-            for index in range(layout.n)
-            if self.informed[layout.offset + index]
-        }
+        lane = self.informed[layout.offset : layout.stop]
+        return dict.fromkeys(np.flatnonzero(lane).tolist(), True)
 
     def subset(self, indices: Sequence[int]) -> "VectorizedFlood":
         return VectorizedFlood([self._sources[i] for i in indices])

@@ -36,10 +36,15 @@ This module owns that lowering:
   lane; :func:`validate_edge_arrays` is its one-lane case.
 
 Every adjacency comes out of one edges->CSR kernel: directed keys
-``row * n + col`` for both orientations, sorted once (``np.unique``
-hashes and then sorts on numpy >= 2.3, about twice the cost), adjacent
-duplicates dropped, ``indices = keys % n`` and ``indptr`` from a row
-``bincount`` -- canonical CSR with unit weights and no COO round trip.
+``(row << b) | col`` for both orientations, ``b = (n - 1).bit_length()``
+bits per endpoint, packed into ``uint32`` while ``2b <= 32`` (every
+stack up to 65,536 nodes) and ``uint64`` beyond; sorted once
+(``np.unique`` hashes and then sorts on numpy >= 2.3, about twice the
+cost), adjacent duplicates dropped, ``indices = keys & (2**b - 1)``
+and ``indptr`` from a ``bincount`` of the rows ``keys >> b`` --
+canonical CSR with unit weights and no COO round trip.  The packed
+order is the row-major order of ``row * n + col``, so the arrays are
+the same as with that key, at half its sort width and with no divide.
 Several lanes go through the same kernel at once: each lane's
 endpoints are shifted by its node offset first, so the sorted keys are
 the block-diagonal matrix itself.  The matrix is symmetric by
@@ -56,9 +61,10 @@ are observable through the ``adjacency.cache_evictions`` /
 Index dtype policy: every adjacency built here routes its CSR index
 arrays through :func:`index_dtype_for` -- ``int32`` while every index
 value (node count *and* stored entry count) fits, ``int64`` otherwise.
-On mega-scale lanes this halves the adjacency index memory; the dedup
-key arithmetic in :func:`csr_from_edges` always runs in ``int64`` so
-the narrower storage dtype can never overflow intermediate products.
+On mega-scale lanes this halves the adjacency index memory.  The
+dedup keys are unsigned and sized to the packed key, never to the
+storage dtype, so no intermediate can overflow; a stack of more than
+``2**32`` nodes, whose key would not fit 64 bits, is refused.
 """
 
 from __future__ import annotations
@@ -447,19 +453,33 @@ def _lane_csr(
 
 def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray) -> sp.csr_array:
     """The canonical symmetric unit-weight ``n x n`` CSR of edges ``(u, v)``."""
-    # Keys stay int64 whatever the storage dtype: ``row * n + col``
-    # reaches ~n^2, which overflows int32 from n ~ 46341.
-    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    bits = (n - 1).bit_length()
+    if bits > 32:
+        raise ValueError(
+            f"{n} nodes need {2 * bits}-bit edge keys; the CSR kernel "
+            "packs a key into 64 bits, so a stack holds at most 2**32 nodes"
+        )
+    key_dtype = np.uint32 if 2 * bits <= 32 else np.uint64
+    u, v = u.astype(key_dtype), v.astype(key_dtype)
+    keys = np.empty(2 * u.size, dtype=key_dtype)
+    forward, backward = keys[: u.size], keys[u.size :]
+    np.left_shift(u, bits, out=forward)
+    forward |= v
+    np.left_shift(v, bits, out=backward)
+    backward |= u
+    keys.sort()
     keep = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    rows, cols = np.divmod(keys[keep], n)
-    dtype = index_dtype_for(max(n, rows.size))
+    keys = keys[keep]
+    rows = keys >> bits
+    if key_dtype is np.uint64:
+        # Rows are below 2**32, so the signed view bincount needs is exact.
+        rows = rows.view(np.int64)
+    dtype = index_dtype_for(max(n, keys.size))
     indptr = np.zeros(n + 1, dtype=dtype)
-    indptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
-    matrix = sp.csr_array(
-        (np.ones(cols.size), cols.astype(dtype), indptr), shape=(n, n)
-    )
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    cols = (keys & key_dtype((1 << bits) - 1)).astype(dtype)
+    matrix = sp.csr_array((np.ones(cols.size), cols, indptr), shape=(n, n))
     matrix.has_canonical_format = True
     return matrix
 

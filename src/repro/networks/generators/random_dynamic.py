@@ -85,11 +85,11 @@ def random_tree_edges(
     if n == 1:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    order = rng.permutation(n).astype(np.int64)
-    positions = np.arange(1, n, dtype=np.int64)
-    # floor(uniform[0,1) * position) is uniform over {0..position-1}.
-    parents = np.floor(rng.random(n - 1) * positions).astype(np.int64)
-    return order[positions], order[parents]
+    order = rng.permutation(n).astype(np.int64, copy=False)
+    # uniform[0,1) * position truncates to a uniform pick among the
+    # position earlier nodes, {0..position-1}.
+    parents = (rng.random(n - 1) * np.arange(1.0, n)).astype(np.int64)
+    return order[1:], order[parents]
 
 
 def bernoulli_pair_edges(

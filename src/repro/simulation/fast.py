@@ -425,7 +425,7 @@ class _LaneBlock:
         if stop_when == "leader":
             return mask[self._leaders]
         per_lane = np.add.reduceat(
-            mask.astype(self._count_dtype), self._offsets[:-1]
+            mask, self._offsets[:-1], dtype=self._count_dtype
         )
         if stop_when == "all":
             sizes = np.diff(self._offsets)
@@ -459,9 +459,9 @@ class _LaneBlock:
         stats = {"rounds": 0, "graphs": 0, "sent": 0, "delivered": 0}
         records: dict[int, dict[str, int]] = {}
         rounds_executed = 0
+        active_nodes = np.repeat(lane_active, sizes)
         for round_no in range(config.max_rounds):
             adjacency = self.adjacency(round_no)
-            active_nodes = np.repeat(lane_active, sizes)
             sending, delivered = protocol.step(
                 round_no, adjacency, active_nodes
             )
@@ -469,11 +469,10 @@ class _LaneBlock:
             # Per-lane traffic, counted exactly like the object
             # engine: only lanes still running execute the round.
             sent_by_lane = np.add.reduceat(
-                sending.astype(self._count_dtype), self._offsets[:-1]
+                sending, self._offsets[:-1], dtype=self._count_dtype
             )
             delivered_by_lane = np.add.reduceat(
-                np.asarray(delivered, dtype=self._acc_dtype),
-                self._offsets[:-1],
+                delivered, self._offsets[:-1], dtype=self._acc_dtype
             )
             active_count = int(lane_active.sum())
             round_sent = int(sent_by_lane[lane_active].sum())
@@ -511,10 +510,12 @@ class _LaneBlock:
                 else:
                     records[round_no] = record
             newly_done = lane_active & self._lane_done(mask)
-            rounds_done[newly_done] = round_no + 1
-            lane_active &= ~newly_done
-            if not lane_active.any():
-                break
+            if newly_done.any():
+                rounds_done[newly_done] = round_no + 1
+                lane_active &= ~newly_done
+                if not lane_active.any():
+                    break
+                active_nodes = np.repeat(lane_active, sizes)
         if config.stop_when == "budget":
             rounds_done[lane_active] = config.max_rounds
             lane_active[:] = False

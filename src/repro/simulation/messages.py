@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from typing import Any, Hashable
+from typing import Any
 
 __all__ = ["Inbox", "LabeledInbox", "canonical_sort_key"]
 
@@ -156,13 +156,3 @@ class LabeledInbox:
     def payloads(self) -> tuple[Any, ...]:
         """Return just the payloads, in canonical pair order."""
         return tuple(payload for _label, payload in self._pairs)
-
-
-def ensure_hashable(payload: Any) -> Hashable:
-    """Validate that ``payload`` is hashable, returning it unchanged.
-
-    The engines require hashable broadcast payloads so that leader states
-    can be compared as multisets.
-    """
-    hash(payload)
-    return payload

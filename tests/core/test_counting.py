@@ -14,8 +14,11 @@ from repro.adversaries.worst_case import (
 from repro.core.counting.base import CountingOutcome
 from repro.core.counting.chain import count_chain_pd2
 from repro.core.counting.degree_oracle import count_pd2_with_degree_oracle
-from repro.core.counting.flooding import flood_time_via_protocol
-from repro.core.counting.gossip import gossip_size_estimates
+from repro.core.counting.flooding import VectorizedFlood, flood_time_via_protocol
+from repro.core.counting.gossip import (
+    gossip_size_estimates,
+    gossip_size_estimates_batch,
+)
 from repro.core.counting.optimal import count_mdbl2, count_mdbl2_abstract
 from repro.core.counting.star import count_star
 from repro.core.counting.token_ids import count_with_ids
@@ -26,6 +29,7 @@ from repro.networks.generators.random_dynamic import RandomConnectedAdversary
 from repro.networks.generators.stars import star_network
 from repro.networks.multigraph import DynamicMultigraph
 from repro.networks.properties import dynamic_diameter, flood_completion_time
+from repro.simulation.fast import LaneLayout
 
 from tests.conftest import schedules_strategy
 
@@ -182,6 +186,34 @@ class TestGossip:
         estimates = gossip_size_estimates(star_network(10), 10, 10)
         assert all(np.isfinite(estimates[1:]))
 
+    @pytest.mark.parametrize("max_lane_nodes", [None, 40])
+    def test_fast_masses_equal_one_matvec_per_column(self, max_lane_nodes):
+        # The reference splits and receives x and w with a matvec each;
+        # the fast protocol's one two-column matvec must match it bit
+        # for bit, on fresh graphs every round and on a held star.
+        specs = [
+            (RandomConnectedAdversary(n, seed=seed).as_dynamic_graph(), n)
+            for seed, n in [(1, 30), (2, 7), (3, 25)]
+        ] + [(star_network(9), 9)]
+        rounds = 20
+        expected = []
+        for graph, n in specs:
+            x, w = np.ones(n), np.zeros(n)
+            w[0] = 1.0
+            curve = []
+            for round_no in range(rounds):
+                adjacency = graph.to_csr(round_no)
+                shares = adjacency.degrees + 1.0
+                x_share, w_share = x / shares, w / shares
+                x = x_share + adjacency.matvec(x_share)
+                w = w_share + adjacency.matvec(w_share)
+                curve.append(float(x[0] / w[0]) if w[0] > 0 else float("inf"))
+            expected.append(curve)
+        actual = gossip_size_estimates_batch(
+            specs, rounds, max_lane_nodes=max_lane_nodes
+        )
+        assert actual == expected
+
 
 class TestFloodingProtocol:
     @pytest.mark.parametrize("source", [0, 1, 3, 5])
@@ -194,6 +226,31 @@ class TestFloodingProtocol:
     def test_star(self):
         assert flood_time_via_protocol(star_network(5), 0) == 1
         assert flood_time_via_protocol(star_network(5), 2) == 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fast_outputs_match_the_per_node_dict(self, seed):
+        layouts = [
+            LaneLayout(0, 0, 5, None),
+            LaneLayout(1, 5, 1, None),
+            LaneLayout(2, 6, 300, None),
+            LaneLayout(3, 306, 4, None),
+        ]
+        protocol = VectorizedFlood([0, 0, 7, 3])
+        protocol.allocate(layouts)
+        informed = np.random.default_rng(seed).random(310) < 0.5
+        informed[306:] = False
+        protocol.informed[:] = informed
+        for layout in layouts:
+            # The form outputs_for had before it read the lane's slice.
+            expected = {
+                index: True
+                for index in range(layout.n)
+                if protocol.informed[layout.offset + index]
+            }
+            outputs = protocol.outputs_for(layout)
+            assert outputs == expected
+            assert list(outputs) == list(expected)
+            assert all(type(node) is int for node in outputs)
 
 
 class TestChainCounter:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.dissemination import (
     disseminate_by_flooding,
+    disseminate_by_flooding_batch,
     disseminate_by_token_forwarding,
 )
 from repro.networks.generators.figures import paper_figure1
@@ -36,6 +37,32 @@ class TestFloodingDissemination:
         result = disseminate_by_flooding(star, {1: 7, 2: 7})
         assert result.tokens == 1
         assert result.rounds <= 2
+
+    def test_fused_lanes_finishing_in_different_rounds(self):
+        # One fast batch whose lanes stop in rounds 2, 4 and 5: a lane
+        # that has stopped sends nothing more, so each lane's message
+        # total must equal its own object run.
+        jobs = [
+            (star_network(4), {1: 0, 2: 1}),
+            (
+                RandomConnectedAdversary(
+                    12, seed=2, extra_edge_p=0.0
+                ).as_dynamic_graph(),
+                {0: 0, 5: 1, 9: 2},
+            ),
+            (
+                RandomConnectedAdversary(
+                    30, seed=4, extra_edge_p=0.0
+                ).as_dynamic_graph(),
+                {0: 0, 29: 1},
+            ),
+        ]
+        expected = [
+            disseminate_by_flooding(network, assignment)
+            for network, assignment in jobs
+        ]
+        assert [result.rounds for result in expected] == [2, 4, 5]
+        assert disseminate_by_flooding_batch(jobs) == expected
 
     def test_empty_assignment_rejected(self):
         with pytest.raises(ModelError, match="at least one token"):

@@ -12,6 +12,7 @@ multi-lane build is in turn held to per-lane builds stacked afterwards.
 from __future__ import annotations
 
 import re
+import tracemalloc
 from unittest import mock
 
 import networkx as nx
@@ -24,6 +25,7 @@ from scipy.sparse.csgraph import connected_components
 
 from repro.networks import csr
 from repro.networks.csr import (
+    component_labels,
     csr_from_edges,
     csr_from_lane_edges,
     index_dtype_for,
@@ -252,3 +254,82 @@ class TestCsrFromLaneEdges:
         pair = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError, match=message):
             csr_from_lane_edges(sizes, [pair] * pairs)
+
+
+def boundary_edges(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A random tree on ``n`` nodes, plus edges at node ``n - 1`` and
+    duplicates in both orientations, shuffled."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    tree_u = order[1:]
+    tree_v = order[(rng.random(n - 1) * np.arange(1, n)).astype(np.int64)]
+    last = n - 1
+    extra_u = [last, 0, last, last - 1, last, n // 2]
+    extra_v = [0, last, last - 1, last, n // 2, last]
+    u = np.concatenate([tree_u, tree_v[:50], tree_u[:50], extra_u])
+    v = np.concatenate([tree_v, tree_u[:50], tree_v[:50], extra_v])
+    shuffle = rng.permutation(u.size)
+    return u[shuffle], v[shuffle]
+
+
+class TestPackedKeyWidth:
+    """Keys are ``uint32`` through 65,536 stacked nodes, ``uint64`` past."""
+
+    @pytest.mark.parametrize("n", [65_536, 65_537])
+    def test_single_lane_at_the_switch(self, n):
+        u, v = boundary_edges(n, seed=n)
+        adjacency = csr_from_edges(n, u, v)
+        matrix, connected = reference_csr_from_edges(n, u, v)
+        assert_same_csr(adjacency.matrix, matrix)
+        assert adjacency.connected is connected is True
+        indptr, indices = adjacency.matrix.indptr, adjacency.matrix.indices
+        assert {0, n - 2, n // 2} <= set(indices[indptr[-2] :].tolist())
+
+    @pytest.mark.parametrize("sizes", [(32_768, 32_768), (32_768, 32_769)])
+    @pytest.mark.parametrize("method", sorted(CONNECTIVITY_METHODS))
+    def test_stack_crossing_the_switch(self, sizes, method):
+        # Each lane alone packs into uint32; the second stack does not.
+        cases = [
+            (n, *boundary_edges(n, seed=index)) for index, n in enumerate(sizes)
+        ]
+        fused_matches_stacked(cases, method)
+        adjacency, _ = csr_from_lane_edges(
+            list(sizes), [validate_edge_arrays(*case) for case in cases]
+        )
+        expected = reference_stack(
+            [reference_csr_from_edges(*case)[0] for case in cases]
+        )
+        assert_same_csr(adjacency.matrix, expected)
+
+    def test_component_labels_past_the_switch(self):
+        n = 65_537
+        u, v = boundary_edges(n, seed=3)
+        keep = (u != n - 1) & (v != n - 1)
+        count, labels = component_labels(n, u[keep], v[keep])
+        matrix, _ = reference_csr_from_edges(n, u[keep], v[keep])
+        want_count, want = connected_components(matrix, directed=False)
+        assert count == want_count >= 2
+        assert np.array_equal(labels, want)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n, u, v: csr_from_edges(n, u, v),
+            lambda n, u, v: csr_from_lane_edges(
+                [n // 2, n - n // 2], [(u, v), (u, v)]
+            ),
+            lambda n, u, v: component_labels(n, u, v),
+        ],
+        ids=["edges", "lanes", "labels"],
+    )
+    def test_keys_past_64_bits_refused_before_allocating(self, build):
+        n = 2**32 + 1  # 33 bits per endpoint
+        u, v = np.array([0, 1]), np.array([1, 2])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^4294967297 nodes need 66-bit"):
+                build(n, u, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

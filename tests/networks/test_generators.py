@@ -12,6 +12,7 @@ from repro.networks.generators.pd import random_pd_network
 from repro.networks.generators.random_dynamic import (
     RandomConnectedAdversary,
     random_connected_graph,
+    random_tree_edges,
 )
 from repro.networks.generators.stars import star_network
 from repro.networks.multigraph import DynamicMultigraph
@@ -185,6 +186,39 @@ class TestRandomDynamic:
     def test_as_dynamic_graph(self):
         graph = RandomConnectedAdversary(6, seed=1).as_dynamic_graph()
         assert is_interval_connected(graph, 5)
+
+    @pytest.mark.parametrize(
+        "seed, n, u, v",
+        [
+            (0, 8, [4, 3, 6, 5, 0, 1, 7], [2, 4, 4, 3, 3, 0, 0]),
+            (7, 5, [0, 4, 1, 3], [2, 2, 2, 1]),
+        ],
+    )
+    def test_tree_edges_pinned(self, seed, n, u, v):
+        tree_u, tree_v = random_tree_edges(n, np.random.default_rng(seed))
+        assert tree_u.dtype == tree_v.dtype == np.int64
+        assert (tree_u.tolist(), tree_v.tolist()) == (u, v)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 65_536])
+    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    def test_tree_edges_match_the_floor_form(self, n, seed):
+        # The sampler's earlier form: floor before the int cast, and
+        # the attached nodes gathered through an index array.
+        old_rng = np.random.default_rng(seed)
+        if n == 1:
+            expected = (np.empty(0, np.int64), np.empty(0, np.int64))
+        else:
+            order = old_rng.permutation(n).astype(np.int64)
+            positions = np.arange(1, n, dtype=np.int64)
+            parents = np.floor(old_rng.random(n - 1) * positions)
+            expected = (order[positions], order[parents.astype(np.int64)])
+        rng = np.random.default_rng(seed)
+        actual = random_tree_edges(n, rng)
+        for got, want in zip(actual, expected):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        # Both forms leave the generator in the same state.
+        assert rng.random() == old_rng.random()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ SIDED = (
     "batched-sampling",
     "zoo-drain-batch",
     "zoo-fused-drains",
+    "packed-keys",
 )
 
 
@@ -73,7 +74,7 @@ def test_reproduces_committed_summaries(tmp_path):
                         name, workload, metric
                     )
                     pairs += 1
-    assert (triples, pairs) == (160, 68)
+    assert (triples, pairs) == (192, 84)
 
 
 def _run(wall_s: float, seed: int, *, workload: str = "flood-fresh", failed: float = 0.0):

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import pickle
 from collections import Counter
-from fractions import Fraction
 
 import networkx as nx
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +15,6 @@ from repro.simulation.messages import (
     Inbox,
     LabeledInbox,
     canonical_sort_key,
-    ensure_hashable,
 )
 from repro.simulation.node import Process
 
@@ -174,11 +171,3 @@ class TestCanonicalSortKey:
     def test_distinct_payloads_distinct_keys(self):
         assert canonical_sort_key((1, 2)) != canonical_sort_key((2, 1))
 
-
-class TestEnsureHashable:
-    def test_accepts_hashable(self):
-        assert ensure_hashable((1, Fraction(1, 3))) == (1, Fraction(1, 3))
-
-    def test_rejects_unhashable(self):
-        with pytest.raises(TypeError):
-            ensure_hashable([1, 2])
