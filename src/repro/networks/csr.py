@@ -53,10 +53,10 @@ whole lane is exactly that lane's connectivity, with no transpose.
 Stacking concatenates the parts' arrays with node and nnz offsets,
 which is the same block-diagonal matrix, already canonical.
 
-Every cache built on :class:`LRUCache` is *bounded*: a
-fresh-graph-per-round workload holds O(1) adjacencies, and evictions
-are observable through the ``adjacency.cache_evictions`` /
-``adjacency.stack_evictions`` counters.
+Nothing here caches.  Its callers remember only the last round they
+built (:class:`repro.networks.csr_native.DynamicGraph` and the fast
+engine's lane block), so a fresh-graph-per-round workload holds O(1)
+adjacencies and a held round is built once.
 
 Index dtype policy: every adjacency built here routes its CSR index
 arrays through :func:`index_dtype_for` -- ``int32`` while every index
@@ -69,8 +69,7 @@ storage dtype, so no intermediate can overflow; a stack of more than
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import networkx as nx
 import numpy as np
@@ -82,7 +81,6 @@ from repro.simulation.errors import TopologyError, sorted_labels
 
 __all__ = [
     "CSRAdjacency",
-    "LRUCache",
     "component_labels",
     "csr_from_edges",
     "csr_from_lane_edges",
@@ -560,43 +558,6 @@ def graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> nx.Graph:
     graph.add_nodes_from(range(n))
     graph.add_edges_from(zip(u.tolist(), v.tolist()))
     return graph
-
-
-class LRUCache:
-    """A small bounded mapping with LRU eviction and an eviction counter.
-
-    The shared bounding mechanism of the fast engine's stacked-adjacency
-    cache and the per-round caches of
-    :class:`repro.networks.csr_native.DynamicGraph`.
-    Every eviction increments ``evict_metric`` so unbounded-growth
-    regressions are observable in any metrics snapshot.
-    """
-
-    def __init__(self, maxsize: int, evict_metric: str) -> None:
-        if maxsize < 1:
-            raise ValueError("cache maxsize must be at least 1")
-        self.maxsize = maxsize
-        self._evict_metric = evict_metric
-        self._data: OrderedDict[Hashable, object] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def get(self, key: Hashable) -> object | None:
-        value = self._data.get(key)
-        if value is not None:
-            self._data.move_to_end(key)
-        return value
-
-    def put(self, key: Hashable, value: object) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-            counter(self._evict_metric)
-
-    def clear(self) -> None:
-        self._data.clear()
 
 
 def stack_adjacencies(parts: Sequence[CSRAdjacency]) -> CSRAdjacency:

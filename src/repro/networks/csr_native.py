@@ -23,19 +23,20 @@ oracle (CSR-native lowering == networkx adjacency, every family).
 Pieces:
 
 * :class:`DynamicGraph` -- a dynamic graph built from an edge provider;
-  ``to_csr`` never touches networkx, and its per-round edge and graph
-  caches are LRU-bounded so fresh-graph-per-round runs hold O(1) memory.
+  ``to_csr`` never touches networkx, and it remembers only the last
+  round it served (its key, validated edges and lazily built graph), so
+  fresh-graph-per-round runs hold O(1) memory and held rounds are
+  built once.
 * :meth:`DynamicGraph.from_graphs` -- an explicit finite prefix of
   ``networkx`` graphs with a ``hold``/``cycle``/``strict`` extension.
 * :func:`precompile_schedule` -- lower a finite schedule prefix (e.g. a
   worst-case adversary instance) once into stacked per-round index
-  arrays, validated eagerly; every subsequent ``edges`` is an O(1)
-  lookup.
+  arrays, validated eagerly; every later round is a slice of them.
 
 Edge providers must be *pure per round* (the same round always yields
 the same edges), the convention every built-in family follows; purity
-is what makes bounded caching safe -- an evicted round can simply be
-recomputed.
+is what makes the one-round memo safe -- a round read again after
+another one is simply recomputed.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ import numpy as np
 
 from repro.networks.csr import (
     CSRAdjacency,
-    LRUCache,
     csr_from_edges,
     graph_from_edges,
     index_dtype_for,
@@ -71,12 +71,6 @@ EdgeArrays = tuple[np.ndarray, np.ndarray]
 EdgeProvider = Callable[[int], tuple[np.ndarray, np.ndarray]]
 """An edge-array provider: ``round_no -> (u, v)`` index arrays."""
 
-#: Default LRU capacity of the per-round edge/graph caches.  Must cover
-#: at least the working set of one batched execution (all lanes touch
-#: the same round number before moving on), which one entry already
-#: does; the slack keeps short hold/cycle prefixes fully resident.
-DEFAULT_ROUND_CACHE_SIZE = 64
-
 _EXTEND_RULES = ("hold", "cycle", "strict")
 
 
@@ -97,15 +91,16 @@ class DynamicGraph:
             exactly ``{0..n-1}``.
         name: Human-readable description (used in reports).
         round_key: Optional canonicalisation of round numbers before the
-            provider and the caches see them -- static topologies and
+            provider and the memo see them -- static topologies and
             ``hold``/``cycle`` extension rules compress an infinite
-            round axis onto a finite prefix, so repeated rounds share
-            one cache entry (and, for the object view, one graph object,
-            which keeps the engines' per-object validation memos
-            effective).
-        cache_rounds: LRU capacity of the per-round edge and graph
-            caches (evictions are counted in
-            ``adjacency.cache_evictions``).
+            round axis onto a finite prefix.  The graph remembers only
+            the last round key it served, with that round's validated
+            edges and (once asked for) its ``networkx`` graph, so
+            *consecutive* rounds with equal keys -- a held or static
+            topology -- are drawn, validated and built once and share
+            one graph object, which keeps the engines' last-graph
+            validation memos effective.  A key that comes back after
+            another one (a ``cycle`` of period > 1) is recomputed.
     """
 
     def __init__(
@@ -115,7 +110,6 @@ class DynamicGraph:
         *,
         name: str = "dynamic-graph",
         round_key: Callable[[int], int] | None = None,
-        cache_rounds: int = DEFAULT_ROUND_CACHE_SIZE,
     ) -> None:
         if n < 1:
             raise ValueError("a dynamic graph needs at least one node")
@@ -133,8 +127,9 @@ class DynamicGraph:
             and edge_provider == getattr(owner, "edges", None)
         )
         self._batch_owner = owner if batchable else None
-        self._edge_lru = LRUCache(cache_rounds, "adjacency.cache_evictions")
-        self._nx_lru = LRUCache(cache_rounds, "adjacency.cache_evictions")
+        # The last round served: [round key, validated edges, nx graph
+        # or None until ``at`` asks for it].
+        self._memo: list | None = None
 
     @classmethod
     def from_graphs(
@@ -182,21 +177,14 @@ class DynamicGraph:
             per_round.append((pairs[:, 0], pairs[:, 1]))
         return _prefix_graph(len(nodes), per_round, extend=extend, name=name)
 
-    def cache_sizes(self) -> dict[str, int]:
-        """Resident entries per internal cache (diagnostics, leak tests)."""
-        return {
-            "edges": len(self._edge_lru),
-            "graphs": len(self._nx_lru),
-        }
-
     # -- round canonicalisation ---------------------------------------
 
     def round_key(self, round_no: int) -> int:
         """The canonical round that ``round_no`` maps to.
 
         Rounds with equal keys have identical edges (static topologies,
-        ``hold``/``cycle`` extensions), so callers may cache anything
-        derived from a round's edges under its key.
+        ``hold``/``cycle`` extensions), so callers may reuse anything
+        derived from a round's edges while the key stays the same.
         """
         if round_no < 0:
             raise ValueError("round numbers start at 0")
@@ -206,15 +194,18 @@ class DynamicGraph:
 
     # -- the edge-array view ------------------------------------------
 
-    def edges(self, round_no: int) -> tuple[np.ndarray, np.ndarray]:
-        """The round's validated ``(u, v)`` edge arrays (cached, LRU)."""
+    def _round(self, round_no: int) -> list:
+        """The memo of ``round_no``'s key, redrawn unless it is the last."""
         key = self.round_key(round_no)
-        cached = self._edge_lru.get(key)
-        if cached is None:
+        memo = self._memo
+        if memo is None or memo[0] != key:
             u, v = self._edge_provider(key)
-            cached = validate_edge_arrays(self.n, u, v)
-            self._edge_lru.put(key, cached)
-        return cached
+            memo = self._memo = [key, validate_edge_arrays(self.n, u, v), None]
+        return memo
+
+    def edges(self, round_no: int) -> tuple[np.ndarray, np.ndarray]:
+        """The round's validated ``(u, v)`` edge arrays."""
+        return self._round(round_no)[1]
 
     @staticmethod
     def lane_edges(
@@ -226,7 +217,7 @@ class DynamicGraph:
         share a batch form (owners of one class with an ``edges_batch``
         and equal ``batch_key``, no ``round_key``), at least two of
         them, are drawn with one ``edges_batch`` call and validated once
-        as a stack; their arrays bypass the per-graph edge LRU, which is
+        as a stack; their arrays bypass the per-graph memo, which is
         safe because providers are pure.  Every other graph, and a
         batch group of one, goes through :meth:`edges` unchanged.  A
         graph listed more than once (one network under two protocols)
@@ -287,23 +278,20 @@ class DynamicGraph:
     # -- the networkx view (object engine, oracles) -------------------
 
     def at(self, round_no: int) -> nx.Graph:
-        """The round's graph as ``networkx`` (cached per canonical round).
+        """The round's graph as ``networkx``, built from its edges.
 
-        Rounds that canonicalise to the same key (static topologies,
-        ``hold``/``cycle`` extensions) share one graph *object* while
-        resident, so the engines' identity-keyed validation memos fire
-        once per distinct graph.  The cache is LRU-bounded: the edge
-        provider is pure per round, so an evicted round rebuilds
-        bit-identically and long fresh-graph-per-round runs hold O(1)
-        graph memory on the object path too.  Treat the returned graph
-        as read-only.
+        Consecutive rounds with the same key (a static topology, a
+        ``hold`` extension) share one graph *object*, so the object
+        engine validates a held graph once.  Only the last round's
+        graph is kept: the edge provider is pure per round, so a round
+        read again later rebuilds bit-identically, and long
+        fresh-graph-per-round runs hold O(1) graph memory.  Treat the
+        returned graph as read-only.
         """
-        key = self.round_key(round_no)
-        cached = self._nx_lru.get(key)
-        if cached is None:
-            cached = graph_from_edges(self.n, *self.edges(round_no))
-            self._nx_lru.put(key, cached)
-        return cached
+        memo = self._round(round_no)
+        if memo[2] is None:
+            memo[2] = graph_from_edges(self.n, *memo[1])
+        return memo[2]
 
     def graph(self, round_no: int, processes: object = None) -> nx.Graph:
         """Topology-provider interface for the simulation engine."""
@@ -334,8 +322,9 @@ def _prefix_graph(
     The prefix is held as one pair of stacked ``(u, v)`` arrays sliced
     per round, in the policy index dtype (int32 until ``n`` reaches
     2**31, with offsets sized to the *total* stacked edge count).
-    Rounds past the prefix follow ``extend``; the caches hold the whole
-    prefix, so held and cycled rounds share one entry per prefix round.
+    Rounds past the prefix follow ``extend`` through the round key, so
+    a held last round is served from the graph's one-round memo; a
+    cycled round is sliced and validated again each time it comes back.
     """
     if extend not in _EXTEND_RULES:
         raise ValueError(f"extend must be one of {_EXTEND_RULES}")
@@ -376,13 +365,7 @@ def _prefix_graph(
         lo, hi = int(offsets[key]), int(offsets[key + 1])
         return u_all[lo:hi], v_all[lo:hi]
 
-    return DynamicGraph(
-        n,
-        provider,
-        name=name,
-        round_key=round_key,
-        cache_rounds=max(rounds, DEFAULT_ROUND_CACHE_SIZE),
-    )
+    return DynamicGraph(n, provider, name=name, round_key=round_key)
 
 
 def precompile_schedule(
@@ -399,8 +382,9 @@ def precompile_schedule(
     ``Omega(log n)`` bound -- the prefix is lowered *once*, eagerly, into
     one pair of stacked ``(u, v)`` arrays plus per-round offsets and
     validated round by round, so range and self-loop errors surface
-    here; every later ``edges`` call is an O(1) lookup, every later
-    ``at`` call reuses one graph object per prefix round.
+    here; every later ``edges`` call slices the stacked arrays (and
+    re-runs the cheap range checks), and held rounds past the prefix
+    share one graph object.
 
     Args:
         source: The dynamic graph to compile; its first ``rounds``
@@ -424,8 +408,8 @@ def precompile_schedule(
         extend=extend,
         name=name if name is not None else f"{source.name}:precompiled",
     )
-    # Eager validation: every prefix round's arrays are checked and
-    # cached here, so the simulation loop never pays for it.
+    # Eager validation: every prefix round's arrays are checked here,
+    # so an invalid schedule fails before any simulation starts.
     for round_no in range(rounds):
         compiled.edges(round_no)
     counter("adjacency.precompiled_schedules")

@@ -10,8 +10,9 @@ model's 1-interval connectivity holds.
 
 Positions evolve sequentially from a per-round seed, so a seed pins an
 entire trajectory.  The walk keeps only its latest positions; round
-edge arrays are derived from them on demand and cached (LRU-bounded)
-by the :class:`~repro.networks.DynamicGraph` that wraps the walk.
+edge arrays are derived from them on demand, and the
+:class:`~repro.networks.DynamicGraph` that wraps the walk remembers
+only the last round's.
 """
 
 from __future__ import annotations

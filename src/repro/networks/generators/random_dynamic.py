@@ -267,11 +267,10 @@ class RandomConnectedAdversary:
         return graph_from_edges(self.n, *self.edges(round_no))
 
     def as_dynamic_graph(self) -> DynamicGraph:
-        """This adversary as a cached CSR-native dynamic graph.
+        """This adversary as a CSR-native dynamic graph.
 
-        Repeated calls return one shared instance so the bounded
-        per-round caches are shared across every consumer of this
-        adversary object.
+        Repeated calls return one shared instance, so every consumer of
+        this adversary object shares its last-round memo.
         """
         if self._native is None:
             self._native = DynamicGraph(

@@ -26,7 +26,7 @@ def star_network(n: int, *, leader: int = 0) -> DynamicGraph:
 
     Returns:
         A :class:`DynamicGraph` that is the same star at every round;
-        every round maps to one cache entry, so the star is validated,
+        every round maps to one round key, so the star is validated,
         lowered and built as a graph object once.
     """
     if n < 2:

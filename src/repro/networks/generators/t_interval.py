@@ -10,9 +10,10 @@ boundary -- fully contains at least one tree; volatile extra edges are
 redrawn every round on top.
 
 CSR-native and incremental: rounds are emitted as ``(u, v)`` edge
-arrays, and the stable component (the per-block spanning trees, which
-change only every ``T`` rounds) is cached separately from the volatile
-per-round extras, so consecutive rounds re-derive only the delta.
+arrays, and the stable component (the current and previous blocks'
+spanning trees, which change only every ``T`` rounds) is kept
+separately from the volatile per-round extras, so a sequential read
+draws each block's tree once and re-derives only the delta.
 
 Used by the baseline experiments to show the library's substrate covers
 the standard dynamic-network taxonomy, not only the paper's ``T = 1``.
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.networks.csr import LRUCache
 from repro.networks.csr_native import DynamicGraph
 from repro.networks.generators.random_dynamic import (
     bernoulli_pair_edges,
@@ -30,11 +30,6 @@ from repro.networks.generators.random_dynamic import (
 )
 
 __all__ = ["t_interval_network"]
-
-#: Block trees live for two blocks (current + overlap into the next),
-#: so a tiny LRU already makes the stable component's resampling cost
-#: amortise to once per block instead of once per round.
-_BLOCK_TREE_CACHE_SIZE = 4
 
 
 def t_interval_network(
@@ -62,24 +57,24 @@ def t_interval_network(
     if not 0.0 <= extra_edge_p <= 1.0:
         raise ValueError("extra_edge_p must be in [0, 1]")
 
-    block_trees = LRUCache(_BLOCK_TREE_CACHE_SIZE, "adjacency.cache_evictions")
+    # The trees of the blocks the last round read: its own and the
+    # previous one, which the next block reads again.
+    trees: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def tree_for_block(block: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = block_trees.get(block)
-        if cached is None:
+        tree = trees.get(block)
+        if tree is None:
             # Seed streams: tag 0 = per-block trees, tag 1 = extras.
-            rng = np.random.default_rng([seed, 0, block])
-            cached = random_tree_edges(n, rng)
-            block_trees.put(block, cached)
-        return cached
+            tree = random_tree_edges(n, np.random.default_rng([seed, 0, block]))
+        return tree
 
     def provider(round_no: int) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal trees
         block = round_no // t
-        parts = [tree_for_block(block)]
-        if block > 0:
-            # The previous block's tree overlaps into this block, so
-            # windows straddling the boundary still share a whole tree.
-            parts.append(tree_for_block(block - 1))
+        # The previous block's tree overlaps into this block, so
+        # windows straddling the boundary still share a whole tree.
+        trees = {b: tree_for_block(b) for b in (block, block - 1) if b >= 0}
+        parts = list(trees.values())
         extras = bernoulli_pair_edges(
             n, np.random.default_rng([seed, 1, round_no]), extra_edge_p
         )

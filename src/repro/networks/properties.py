@@ -18,6 +18,8 @@ is checked against these graph-level results in the test suite.
 
 from __future__ import annotations
 
+from collections import deque
+
 import networkx as nx
 
 from repro.networks.csr_native import DynamicGraph
@@ -55,12 +57,13 @@ def is_t_interval_connected(
         raise ValueError("the window T must be at least 1")
     if rounds < t:
         raise ValueError("need at least T rounds to check a window")
-    for start in range(rounds - t + 1):
-        edges = set(map(frozenset, dynamic_graph.at(start).edges()))
-        for offset in range(1, t):
-            edges &= set(
-                map(frozenset, dynamic_graph.at(start + offset).edges())
-            )
+    # Each round is read once: the window slides over its edge sets.
+    window: deque[set] = deque(maxlen=t)
+    for round_no in range(rounds):
+        window.append(set(map(frozenset, dynamic_graph.at(round_no).edges())))
+        if len(window) < t:
+            continue
+        edges = set.intersection(*window)
         stable = nx.Graph()
         stable.add_nodes_from(range(dynamic_graph.n))
         stable.add_edges_from(tuple(edge) for edge in edges)
@@ -156,19 +159,41 @@ def flood_completion_time(
         ModelError: The flood does not complete within ``horizon`` rounds
             (possible only if connectivity is violated).
     """
-    informed = {source}
+    (elapsed,) = _flood_completion_times(
+        dynamic_graph, [source], start_round, horizon
+    )
+    if elapsed is None:
+        raise _unfinished_flood(source, start_round, horizon)
+    return elapsed
+
+
+def _flood_completion_times(
+    dynamic_graph: DynamicGraph,
+    sources: list[int],
+    start_round: int,
+    horizon: int,
+) -> list[int | None]:
+    """:func:`flood_completion_time` of every source (``None`` past the
+    horizon), flooding them side by side so each round is read once."""
     n = dynamic_graph.n
+    informed = {index: {source} for index, source in enumerate(sources)}
+    times: list[int | None] = [None] * len(sources)
     for elapsed in range(1, horizon + 1):
+        if not informed:
+            break
         graph = dynamic_graph.at(start_round + elapsed - 1)
-        newly = {
-            neighbour
-            for node in informed
-            for neighbour in graph.neighbors(node)
-        }
-        informed |= newly
-        if len(informed) == n:
-            return elapsed
-    raise ModelError(
+        for index, nodes in list(informed.items()):
+            nodes |= {
+                neighbour for node in nodes for neighbour in graph.neighbors(node)
+            }
+            if len(nodes) == n:
+                times[index] = elapsed
+                del informed[index]
+    return times
+
+
+def _unfinished_flood(source: int, start_round: int, horizon: int) -> ModelError:
+    return ModelError(
         f"flood from node {source} at round {start_round} did not complete "
         f"within {horizon} rounds"
     )
@@ -190,10 +215,12 @@ def dynamic_diameter(
     """
     if sources is None:
         sources = list(range(dynamic_graph.n))
-    return max(
-        flood_completion_time(
-            dynamic_graph, source, start_round, horizon=horizon
-        )
-        for source in sources
+    times = [
+        _flood_completion_times(dynamic_graph, sources, start_round, horizon)
         for start_round in range(start_rounds)
-    )
+    ]
+    for position, source in enumerate(sources):
+        for start_round in range(start_rounds):
+            if times[start_round][position] is None:
+                raise _unfinished_flood(source, start_round, horizon)
+    return max(elapsed for row in times for elapsed in row)

@@ -99,10 +99,10 @@ class EngineConfig:
             exactly ``max_rounds`` rounds.
         require_connected: Verify that every round's graph is connected
             (the 1-interval connectivity assumption).  Enabled by default
-            because every model in the paper assumes it.  Graph
-            validation is memoized per graph object, so a provider that
-            serves the same cached graph for many rounds is checked
-            once.
+            because every model in the paper assumes it.  The engine
+            remembers the last graph object it validated, so a provider
+            that serves the same graph for consecutive rounds (a held
+            topology) has it checked once.
         validate_payloads: Debug flag: verify every broadcast payload is
             hashable during the send phase.  Off by default -- the check
             runs ``hash(payload)`` for every process every round, which
@@ -192,10 +192,10 @@ class SynchronousEngine:
             raise ValueError(f"leader index {leader} out of range")
         if self.config.stop_when == "leader" and leader is None:
             raise ValueError("stop_when='leader' requires a leader index")
-        # Validation memo: graph objects already checked this run.  Holds
-        # strong references so object identities stay stable; mutating a
-        # previously served graph between rounds is unsupported.
-        self._validated: dict[int, nx.Graph] = {}
+        # Validation memo: the last graph object checked.  A held graph
+        # (the same object again next round) is validated once; mutating
+        # a served graph between rounds is unsupported.
+        self._last_validated: nx.Graph | None = None
         # Round telemetry config, captured once per run(); None when
         # disabled, so the per-round guard is one attribute check.
         self._telemetry: telemetry_mod.Telemetry | None = None
@@ -252,8 +252,7 @@ class SynchronousEngine:
     def _validated_graph(self, round_no: int, expected_nodes: set[int]) -> nx.Graph:
         graph = self.topology.graph(round_no, self.processes)
         counter("engine.graphs")
-        cached = self._validated.get(id(graph))
-        if cached is graph:
+        if graph is self._last_validated:
             return graph
         if set(graph.nodes) != expected_nodes:
             raise TopologyError(
@@ -278,7 +277,7 @@ class SynchronousEngine:
                 f"round {round_no}: graph is disconnected but 1-interval "
                 "connectivity is required"
             )
-        self._validated[id(graph)] = graph
+        self._last_validated = graph
         return graph
 
     def _before_send(self, round_no: int, graph: nx.Graph) -> None:

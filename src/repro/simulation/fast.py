@@ -10,11 +10,10 @@ path that compiles a round into array operations.
   adversary that converts to one through ``as_dynamic_graph()``).  Each
   round the engine reads every lane's validated edge arrays and builds
   the whole batch's block-diagonal CSR adjacency in one pass
-  (:func:`~repro.networks.csr.csr_from_lane_edges`), memoized per tuple
-  of lane round keys, so a held or static batch builds once.  The
-  topology's edge cache and the engine's stack cache are LRU-bounded
-  (``adjacency.cache_evictions`` / ``adjacency.stack_evictions``), so
-  fresh-graph-per-round workloads hold O(1) adjacency memory.
+  (:func:`~repro.networks.csr.csr_from_lane_edges`).  The engine keeps
+  only the last round's stack, under its tuple of lane round keys, so a
+  held or static batch builds once and fresh-graph-per-round workloads
+  hold O(1) adjacency memory.
 * Protocols whose per-round receive phase is an aggregation over the
   multiset of received values implement :class:`VectorizedProtocol`:
   state lives in NumPy arrays over a flat node axis and one ``step``
@@ -62,7 +61,6 @@ import numpy as np
 
 from repro.networks.csr import (
     CSRAdjacency,
-    LRUCache,
     csr_from_lane_edges,
     index_dtype_for,
 )
@@ -92,11 +90,6 @@ __all__ = [
 BACKENDS = ("object", "fast")
 """The two execution backends: ``"object"`` is the per-process oracle
 engine, ``"fast"`` the vectorized batch engine of this module."""
-
-#: LRU capacity of a lane block's stacked-adjacency cache.  The key is
-#: the tuple of lane round keys, which changes at most once per round:
-#: a held batch needs one entry, a short ``cycle`` prefix a few.
-STACK_CACHE_SIZE = 32
 
 
 def resolve_backend(backend: str) -> str:
@@ -348,7 +341,8 @@ class _LaneBlock:
     """One contiguous chunk of lanes, executed to completion.
 
     Owns the chunk-local layouts (rebased to offset 0), the lanes'
-    dynamic graphs, the stacked-adjacency cache, and the matvec loop.
+    dynamic graphs, the last round's stacked adjacency, and the matvec
+    loop.
     The monolithic run is the one-block special case, so chunked and
     single-stack executions share every line of the hot loop.
     """
@@ -382,18 +376,19 @@ class _LaneBlock:
             _lane_graph(index, lane) for index, lane in enumerate(self.lanes)
         ]
         self._sizes = [lane.n for lane in self.lanes]
-        self._stack = LRUCache(STACK_CACHE_SIZE, "adjacency.stack_evictions")
+        # The last round's (tuple of lane round keys, stacked adjacency).
+        self._last: tuple[tuple, CSRAdjacency] | None = None
 
     # -- adjacency ----------------------------------------------------
 
     def adjacency(self, round_no: int) -> CSRAdjacency:
-        """The round's stacked adjacency, validated once per distinct
-        tuple of lane round keys."""
+        """The round's stacked adjacency, reused while the tuple of
+        lane round keys equals the last round's (a held batch)."""
         key = tuple(graph.round_key(round_no) for graph in self.graphs)
-        cached = self._stack.get(key)
-        if cached is not None:
+        last = self._last
+        if last is not None and last[0] == key:
             counter("adjacency.stack_hits")
-            return cached
+            return last[1]
         adjacency, connected = csr_from_lane_edges(
             self._sizes, DynamicGraph.lane_edges(self.graphs, round_no)
         )
@@ -403,7 +398,7 @@ class _LaneBlock:
                 f"round {round_no}: lane {lane} graph is disconnected "
                 "but 1-interval connectivity is required"
             )
-        self._stack.put(key, adjacency)
+        self._last = (key, adjacency)
         return adjacency
 
     def edges_at(self, round_no: int) -> int:

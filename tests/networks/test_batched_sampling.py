@@ -27,7 +27,6 @@ from repro.networks.csr import validate_edge_arrays, validate_lane_edges
 from repro.networks.generators import random_dynamic
 from repro.networks.generators.markov import edge_markov_network
 from repro.networks.generators.random_dynamic import RandomConnectedAdversary
-from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.simulation.errors import TopologyError
 
 PROBABILITIES = (0.0, 0.1, 0.5, 1.0)
@@ -161,17 +160,32 @@ class TestLaneEdges:
             [graph.edges(round_no) for graph in oracle],
         )
 
-    def test_batched_lanes_bypass_the_edge_cache(self):
+    def test_batched_lanes_bypass_the_edge_cache(self, monkeypatch):
+        # A batch group is drawn and validated as one stack: no lane goes
+        # through its own edges(), so no lane's round memo is filled.
+        from repro.networks import csr_native
+
+        calls = []
+        monkeypatch.setattr(
+            csr_native,
+            "validate_edge_arrays",
+            lambda *args: calls.append(args) or validate_edge_arrays(*args),
+        )
         graphs = [
             RandomConnectedAdversary(8, seed=seed).as_dynamic_graph()
             for seed in range(3)
         ]
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            for round_no in range(100):
+        tracemalloc.start()
+        try:
+            DynamicGraph.lane_edges(graphs, 0)
+            warm = tracemalloc.get_traced_memory()[0]
+            for round_no in range(1, 100):
                 DynamicGraph.lane_edges(graphs, round_no)
-        assert all(graph.cache_sizes()["edges"] == 0 for graph in graphs)
-        assert registry.value("adjacency.cache_evictions") == 0
+            settled = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert settled - warm < 32 * 1024
 
     def test_group_of_one_goes_through_edges(self):
         graph = RandomConnectedAdversary(8, seed=1).as_dynamic_graph()

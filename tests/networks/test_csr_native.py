@@ -24,7 +24,6 @@ from repro.networks import (
     mdbl_to_pd2,
     precompile_schedule,
 )
-from repro.networks.csr_native import DEFAULT_ROUND_CACHE_SIZE
 from repro.networks.generators.geometric import random_waypoint_network
 from repro.networks.generators.markov import edge_markov_network
 from repro.networks.generators.pd import random_pd_network
@@ -118,27 +117,41 @@ class TestCSRDynamicGraph:
 
     def test_round_caches_are_bounded(self):
         network = RandomConnectedAdversary(8, seed=1).as_dynamic_graph()
-        for round_no in range(3 * DEFAULT_ROUND_CACHE_SIZE):
-            network.to_csr(round_no)
-            network.at(round_no)
-        assert all(
-            size <= DEFAULT_ROUND_CACHE_SIZE
-            for size in network.cache_sizes().values()
-        )
+        tracemalloc.start()
+        try:
+            for round_no in range(64):
+                network.to_csr(round_no)
+                network.at(round_no)
+            warm = tracemalloc.get_traced_memory()[0]
+            for round_no in range(64, 192):
+                network.to_csr(round_no)
+                network.at(round_no)
+            settled = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert settled - warm < 32 * 1024
 
     def test_eviction_counter_increments(self):
-        registry = MetricsRegistry()
-        network = DynamicGraph(5, ring_provider(5), cache_rounds=2)
-        with use_registry(registry):
-            for round_no in range(6):
-                network.to_csr(round_no)
-        counters = registry.snapshot()["counters"]
-        assert counters["adjacency.cache_evictions"] >= 4
+        # A new round key replaces the remembered round: reading an
+        # earlier round again calls the provider again.
+        calls = []
 
+        def provider(round_no):
+            calls.append(round_no)
+            return ring_provider(5)(round_no)
+
+        network = DynamicGraph(5, provider)
+        graph = network.at(0)
+        assert network.at(0) is graph
+        network.edges(1)
+        assert network.at(0) is not graph
+        assert calls == [0, 1, 0]
 
 class TestPrecompiledSchedules:
-    def source(self, n=6, seed=3):
+    def source(self, n=6, seed=3, calls=None):
         def provider(round_no):
+            if calls is not None:
+                calls.append(round_no)
             return random_connected_edges(
                 n, np.random.default_rng([seed, round_no]), extra_edge_p=0.2
             )
@@ -197,14 +210,20 @@ class TestPrecompiledSchedules:
             precompile_schedule(self.source(), 2, extend="loop")
 
     def test_schedule_counter(self):
+        calls = []
         registry = MetricsRegistry()
         with use_registry(registry):
-            compiled = precompile_schedule(self.source(), 2)
+            compiled = precompile_schedule(self.source(calls=calls), 2)
+        # Every prefix round is read from the source once, at compile
+        # time; later rounds are served from the compiled arrays.
+        assert calls == [0, 1]
+        for round_no in (0, 1, 5):
+            compiled.edges(round_no)
+        assert calls == [0, 1]
         counters = registry.snapshot()["counters"]
         assert counters["adjacency.precompiled_schedules"] == 1
         # Eager validation read every prefix round through edges(); no
         # CSR is built until a caller asks for one.
-        assert compiled.cache_sizes() == {"edges": 2, "graphs": 0}
         assert "adjacency.native_builds" not in counters
 
     def test_invalid_round_rejected_at_compile_time(self):
@@ -249,28 +268,38 @@ class TestFamilyEquivalence:
 
 class TestBoundedMemory:
     def test_long_fresh_graph_run_keeps_caches_bounded(self):
-        adversary = RandomConnectedAdversary(16, seed=9, extra_edge_p=0.0)
-        estimates = gossip_size_estimates(adversary, 16, 150, backend="fast")
-        assert len(estimates) == 150
+        adversary = RandomConnectedAdversary(256, seed=9, extra_edge_p=0.0)
         network = adversary.as_dynamic_graph()
-        assert all(
-            size <= DEFAULT_ROUND_CACHE_SIZE
-            for size in network.cache_sizes().values()
-        )
+        lengths, retained = [], []
+        tracemalloc.start()
+        try:
+            for rounds in (10, 150):
+                estimates = gossip_size_estimates(
+                    adversary, 256, rounds, backend="fast"
+                )
+                lengths.append(len(estimates))
+                del estimates
+                retained.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert lengths == [10, 150]
+        # The network remembers one round whatever the run's length
+        # (about 2 KiB of edges here; numpy's small-buffer cache adds
+        # some noise).
+        assert retained[1] - retained[0] < 64 * 1024
+        assert network.at(149) is network.at(149)
 
     def test_long_fresh_graph_run_memory_is_stable(self):
-        # After the LRU warms up, hundreds more fresh rounds must not
-        # accumulate lowered adjacencies (the pre-fix behaviour leaked
-        # one CSR matrix + edge arrays per round).
+        # Hundreds more fresh rounds must not accumulate lowered
+        # adjacencies (a cache that keeps every round leaks one CSR
+        # matrix + edge arrays per round).
         network = RandomConnectedAdversary(24, seed=4).as_dynamic_graph()
         tracemalloc.start()
         try:
-            for round_no in range(2 * DEFAULT_ROUND_CACHE_SIZE):
+            for round_no in range(128):
                 network.to_csr(round_no)
             warm = tracemalloc.get_traced_memory()[0]
-            for round_no in range(
-                2 * DEFAULT_ROUND_CACHE_SIZE, 8 * DEFAULT_ROUND_CACHE_SIZE
-            ):
+            for round_no in range(128, 512):
                 network.to_csr(round_no)
             settled = tracemalloc.get_traced_memory()[0]
         finally:
@@ -284,7 +313,7 @@ def _waypoint():
 
 def _pd2():
     multigraph = DynamicMultigraph.random(
-        2, 10, 4 * DEFAULT_ROUND_CACHE_SIZE, np.random.default_rng(2)
+        2, 10, 256, np.random.default_rng(2)
     )
     return mdbl_to_pd2(multigraph)[0]
 
@@ -296,26 +325,24 @@ class TestBoundedFamilyCaches:
     """Families that used to cache every round's graph forever."""
 
     def test_caches_stay_within_capacity(self, build):
+        # Only the last round is remembered: it is served again as the
+        # same object, an earlier round is rebuilt (equal, not shared).
         network = build()
-        for round_no in range(2 * DEFAULT_ROUND_CACHE_SIZE):
-            network.at(round_no)
-            network.to_csr(round_no)
-        assert all(
-            size <= DEFAULT_ROUND_CACHE_SIZE
-            for size in network.cache_sizes().values()
-        )
+        graphs = [network.at(round_no) for round_no in range(128)]
+        assert network.at(127) is graphs[127]
+        again = network.at(126)
+        assert again is not graphs[126]
+        assert nx.utils.graphs_equal(again, graphs[126])
 
     def test_memory_is_flat_after_warm_up(self, build):
         network = build()
         tracemalloc.start()
         try:
-            for round_no in range(2 * DEFAULT_ROUND_CACHE_SIZE):
+            for round_no in range(128):
                 network.at(round_no)
                 network.to_csr(round_no)
             warm = tracemalloc.get_traced_memory()[0]
-            for round_no in range(
-                2 * DEFAULT_ROUND_CACHE_SIZE, 4 * DEFAULT_ROUND_CACHE_SIZE
-            ):
+            for round_no in range(128, 256):
                 network.at(round_no)
                 network.to_csr(round_no)
             settled = tracemalloc.get_traced_memory()[0]

@@ -67,6 +67,27 @@ class TestTInterval:
         assert set(network.at(0).edges()) == set(network.at(1).edges())
         assert set(network.at(0).edges()) != set(network.at(8).edges())
 
+    def test_each_block_tree_is_drawn_once(self, monkeypatch):
+        # A sequential read keeps the current and previous block's
+        # trees, so every block's tree is drawn exactly once although
+        # each block reads two of them every round.
+        from repro.networks.generators import t_interval
+
+        draws = []
+        real = t_interval.random_tree_edges
+
+        def counting(n, rng):
+            # The tree's seed stream: [seed, 0, block].
+            draws.append(rng.bit_generator.seed_seq.entropy[2])
+            return real(n, rng)
+
+        monkeypatch.setattr(t_interval, "random_tree_edges", counting)
+        network = t_interval_network(10, 3, seed=2)
+        for round_no in range(30):
+            network.at(round_no)
+            network.edges(round_no)
+        assert draws == list(range(10))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             t_interval_network(1, 2)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.networks.csr_native import DynamicGraph
@@ -121,3 +122,18 @@ class TestDynamicDiameter:
         network, _layers = random_pd_network([4, 6, 5], seed=3)
         measured = dynamic_diameter(network, start_rounds=2)
         assert measured <= 2 * 3
+
+    def test_each_round_is_read_once_per_start_round(self):
+        # All sources flood side by side, so a fresh-topology network
+        # (which remembers only its last round) builds each round once.
+        graphs = [nx.path_graph(6), nx.star_graph(5), nx.cycle_graph(6)]
+        reads = []
+        network = DynamicGraph(
+            6,
+            lambda round_no: (
+                reads.append(round_no)
+                or tuple(np.array(graphs[round_no % 3].edges).T)
+            ),
+        )
+        assert dynamic_diameter(network, start_rounds=2) == 4
+        assert reads == [0, 1, 2, 3, 1, 2, 3]

@@ -20,6 +20,7 @@ SIDED = (
     "zoo-drain-batch",
     "zoo-fused-drains",
     "packed-keys",
+    "round-memo",
 )
 
 
@@ -74,7 +75,7 @@ def test_reproduces_committed_summaries(tmp_path):
                         name, workload, metric
                     )
                     pairs += 1
-    assert (triples, pairs) == (192, 84)
+    assert (triples, pairs) == (224, 100)
 
 
 def _run(wall_s: float, seed: int, *, workload: str = "flood-fresh", failed: float = 0.0):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import networkx as nx
 import pytest
 
@@ -332,6 +335,27 @@ class TestEngineValidation:
             config=EngineConfig(stop_when="budget", max_rounds=4),
         )
         assert engine.run().rounds == 4
+
+    def test_validated_graphs_are_not_kept(self):
+        """Only the last validated graph is held: a provider serving a
+        new graph every round leaves earlier rounds collectable."""
+        refs = []
+
+        def provider(round_no):
+            graph = nx.path_graph(3)
+            refs.append(weakref.ref(graph))
+            return graph
+
+        engine = SynchronousEngine(
+            [EchoProcess(), EchoProcess(), EchoProcess()],
+            provider,
+            leader=None,
+            config=EngineConfig(stop_when="budget", max_rounds=12),
+        )
+        engine.run()
+        gc.collect()
+        assert len(refs) == 12
+        assert [ref() is None for ref in refs] == [True] * 11 + [False]
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

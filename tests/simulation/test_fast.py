@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.networks.csr import lower_graph, stack_adjacencies
+from repro.networks.csr import csr_from_edges, lower_graph, stack_adjacencies
 from repro.networks.csr_native import DynamicGraph
-from repro.simulation import fast
+from repro.networks.generators.random_dynamic import RandomConnectedAdversary
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.simulation.engine import EngineConfig
 from repro.simulation.errors import TerminationError, TopologyError
@@ -164,17 +166,27 @@ class TestCaches:
         with pytest.raises(ValueError):
             stack_adjacencies([])
 
-    def test_stack_cache_is_bounded(self, monkeypatch):
-        # Three rounds cycling through an LRU of two entries: every
-        # round misses and evicts the oldest entry.
-        monkeypatch.setattr(fast, "STACK_CACHE_SIZE", 2)
-        graphs = [nx.path_graph(3), nx.star_graph(2), nx.cycle_graph(3)]
-        counters = run_counters(
-            [dyn(graphs, extend="cycle"), held(nx.path_graph(2))], rounds=9
+    def test_fresh_rounds_hold_about_two_rounds_of_adjacency(self):
+        # Only the last round's stack is kept: a fresh tree every round
+        # must not accumulate lowered adjacencies or edge arrays.
+        n, rounds = 16_384, 30
+        sample = RandomConnectedAdversary(n, seed=1, extra_edge_p=0.0)
+        edges = sample.edges(rounds)
+        matrix = csr_from_edges(n, *edges).matrix
+        round_bytes = sum(
+            a.nbytes for a in (*edges, matrix.data, matrix.indices, matrix.indptr)
         )
-        assert counters["adjacency.stack_builds"] == 9
-        assert counters["adjacency.stack_evictions"] == 9 - 2
-        assert "adjacency.stack_hits" not in counters
+        network = RandomConnectedAdversary(
+            n, seed=1, extra_edge_p=0.0
+        ).as_dynamic_graph()
+        tracemalloc.start()
+        try:
+            run_lanes([network], rounds)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * round_bytes
+        assert current < 2 * round_bytes
 
     def test_stack_cache_is_per_run(self):
         lanes = [held(nx.path_graph(2)), held(nx.path_graph(3))]
@@ -198,12 +210,14 @@ class TestCaches:
         assert sizes == [4, 2]
 
     def test_cycle_prefix_hits(self):
+        # Only the last round's stack is kept, so a cycle of period 3
+        # rebuilds every round: its keys never repeat back to back.
         graphs = [nx.path_graph(3), nx.star_graph(2), nx.cycle_graph(3)]
         counters = run_counters(
             [dyn(graphs, extend="cycle"), held(nx.path_graph(2))], rounds=9
         )
-        assert counters["adjacency.stack_builds"] == 3
-        assert counters["adjacency.stack_hits"] == 9 - 3
+        assert counters["adjacency.stack_builds"] == 9
+        assert "adjacency.stack_hits" not in counters
 
     def test_mixed_held_and_fresh_lanes_rebuild_every_round(self):
         fresh = DynamicGraph(
