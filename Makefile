@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test check smoke bench bench-smoke bench-dynamic-smoke bench-scale-smoke perfbench-smoke shard-smoke trace-smoke verify-smoke zoo-smoke serve-smoke experiments report examples all
+.PHONY: install test check smoke bench bench-smoke bench-dynamic-smoke bench-scale-smoke perfbench-smoke shard-smoke trace-smoke verify-smoke zoo-smoke history-smoke serve-smoke experiments report examples all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -165,6 +165,15 @@ zoo-smoke:
 	$(PYTHON) -m repro verify --suite counting --fuzz 60 --seed 0 \
 		--fixtures-dir .repro-zoo-verify
 	@rm -f .zoo-smoke.out .zoo-smoke-fast.out .zoo-smoke-object.txt
+
+# History-counter ceiling gate: DV and KM (two supervisors) at n = 64
+# and 128, each under a 60 s wall-clock limit, must finish with the
+# exact count.  It prints only and writes no file.
+history-smoke:
+	$(PYTHON) benchmarks/history_ceiling.py --sizes 64 128 --timeout 60 \
+		| $(PYTHON) -c "import json, sys; records = json.load(sys.stdin); \
+	assert len(records) == 4, records; \
+	assert all(r.get('count') == r['n'] for r in records), records"
 
 # Experiment-service smoke: validate the example scenarios, start the
 # HTTP service, submit the same scenario twice, and prove the second

@@ -5,16 +5,17 @@ Networks" / "Optimal computation in anonymous dynamic networks"
 (arXiv 2204.02128) show that a single leader suffices to count an
 anonymous 1-interval-connected network in ``O(n)`` rounds using
 *history trees*: every node floods its full view, and the leader
-recovers the class multiplicities from exact linear constraints.
+recovers the class multiplicities from exact linear constraints.  Here
+a node's message is the id of its hash-consed view, which names that
+whole tree.
 
 This module is the thin leader-anchored wrapper over the shared
 machinery in :mod:`repro.core.counting.history` -- the anchor is the
 unique leader (``anchor_total=1``) and only the leader decides.  The
 protocol is *object-engine only*: the per-node state is an unbounded
-recursively-defined view plus a growing knowledge set, which does not
-vectorize into fixed-width lanes (the drain-based counters in
-:mod:`repro.core.counting.drain` are the fast-backend members of the
-zoo).
+recursively-defined view, which does not vectorize into fixed-width
+lanes (the drain-based counters in :mod:`repro.core.counting.drain` are
+the fast-backend members of the zoo).
 
 The implementation is an honest adaptation, not a line-by-line
 transcription: termination uses the linear margin + cross-level

@@ -246,10 +246,10 @@ def _solve_exact(
 class HistoryProcess(Process):
     """Full-information view flooding with the linear-margin decider.
 
-    Every round the process broadcasts its current view id plus the
-    set of every view record it has ever heard of; on receive it
-    refines its view with the anonymous inbox profile and, when it is
-    a decider, attempts the multiplicity solve at every level.
+    Every round the process broadcasts its current view id, which names
+    its whole hash-consed view tree; on receive it refines its view with
+    the anonymous profile of the ids it heard and, when it is a decider,
+    attempts the multiplicity solve at every level over :attr:`known`.
 
     Args:
         table: The run-shared interning table.
@@ -283,47 +283,64 @@ class HistoryProcess(Process):
         self.view = table.intern(
             ViewRecord(level=0, marked=marked, parent=None, inbox=())
         )
-        self.known: set[int] = {self.view}
         self.level = 0
         self.decided_level: int | None = None
-        self._solve_cache: dict[tuple[int, frozenset[int]], int | None] = {}
+        self._known: set[int] = set()
+        self._by_level: list[list[int]] = []  # known ids, indexed by level
+        self._solve_cache: dict[tuple[int, int], int | None] = {}
         self._output: int | None = None
 
-    def compose(self, round_no: int) -> tuple[int, frozenset[int]]:
-        return (self.view, frozenset(self.known))
+    @property
+    def known(self) -> frozenset[int]:
+        """Every record the node has heard of: the closure of :attr:`view`
+        under ``parent`` and ``inbox`` links, walked every round on a
+        decider and only when read on any other node."""
+        return frozenset(self._close())
+
+    def _close(self) -> set[int]:
+        missing = self.level + 1 - len(self._by_level)
+        self._by_level.extend([] for _ in range(missing))
+        stack = [self.view]
+        while stack:
+            view_id = stack.pop()
+            if view_id in self._known:
+                continue  # so is its whole closure
+            self._known.add(view_id)
+            record = self.table.record(view_id)
+            self._by_level[record.level].append(view_id)
+            if record.parent is not None:
+                stack.append(record.parent)
+            stack.extend(neighbour for neighbour, _count in record.inbox)
+        return self._known
+
+    def compose(self, round_no: int) -> int:
+        return self.view
 
     def deliver(self, round_no: int, inbox: Inbox) -> None:
-        profile = Counter()
-        for view, known in inbox:
-            profile[view] += 1
-            self.known |= known
         self.view = self.table.intern(
             ViewRecord(
                 level=self.level + 1,
                 marked=self.marked,
                 parent=self.view,
-                inbox=tuple(sorted(profile.items())),
+                inbox=tuple(sorted(Counter(inbox).items())),
             )
         )
         self.level += 1
-        self.known.add(self.view)
         if self.decide and self._output is None:
+            self._close()
             self._try_decide(rounds_done=round_no + 1)
 
     def output(self) -> int | None:
         return self._output
 
     def _solve(self, level: int) -> int | None:
-        relevant = frozenset(
-            view_id
-            for view_id in self.known
-            if self.table.record(view_id).level <= level
-        )
-        key = (level, relevant)
+        # Known ids of level <= ``level`` only grow: their number is the set.
+        below = self._by_level[: level + 1]
+        key = (level, sum(map(len, below)))
         if key not in self._solve_cache:
             self._solve_cache[key] = solve_multiplicities(
                 self.table,
-                relevant,
+                [view_id for ids in below for view_id in ids],
                 level=level,
                 anchor_total=self.anchor_total,
             )
@@ -333,6 +350,9 @@ class HistoryProcess(Process):
         # Deepest candidate level first costs nothing: levels above the
         # margin cannot fire, so only small T are ever attempted early.
         for level in range(self.level):
+            width = len(self._by_level[level])
+            if rounds_done < level + 1 + width + self.slack:
+                continue  # a positive solution counts >= width nodes
             count = self._solve(level)
             if count is None:
                 continue

@@ -18,6 +18,8 @@ the minimum-index decider's count.  Notably this handles networks the
 single-leader anchors cannot, e.g. the all-supervisors symmetric cycle
 where every node shares one view class of multiplicity ``ell = n``.
 
+Every node floods only the id of its current view, as in DV, and a
+supervisor solves over the records reachable from its own view.
 Object-engine only, like DV: the view state does not vectorize.
 """
 

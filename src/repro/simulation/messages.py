@@ -24,27 +24,24 @@ __all__ = ["Inbox", "LabeledInbox", "canonical_sort_key"]
 def canonical_sort_key(payload: Any) -> str:
     """Return a deterministic, content-only ordering key for a payload.
 
-    The key is ``repr``-based: payloads used by the protocols in this
-    library (tuples, frozensets, ints, Fractions) all have deterministic
-    ``repr`` once frozensets are converted through :func:`repr` of their
-    sorted contents.  Frozensets are special-cased because their native
-    ``repr`` order follows hash randomisation.
+    The key is ``repr``-based, recursing into tuples, frozensets and
+    dicts.  Frozensets are sorted by their items' keys, because their
+    native ``repr`` order follows hash randomisation; they reach the
+    engine only from the set-flooding protocols (dissemination and the
+    ``randomized`` and ``token_ids`` counters).  Dict items are sorted by
+    their keys' keys.
     """
-    return _canonical_repr(payload)
-
-
-def _canonical_repr(payload: Any) -> str:
     if isinstance(payload, frozenset):
-        inner = ", ".join(sorted(_canonical_repr(item) for item in payload))
+        inner = ", ".join(sorted(canonical_sort_key(item) for item in payload))
         return f"frozenset({{{inner}}})"
     if isinstance(payload, tuple):
-        inner = ", ".join(_canonical_repr(item) for item in payload)
+        inner = ", ".join(canonical_sort_key(item) for item in payload)
         return f"({inner})"
     if isinstance(payload, dict):
         inner = ", ".join(
-            f"{_canonical_repr(key)}: {_canonical_repr(value)}"
+            f"{canonical_sort_key(key)}: {canonical_sort_key(value)}"
             for key, value in sorted(
-                payload.items(), key=lambda kv: _canonical_repr(kv[0])
+                payload.items(), key=lambda kv: canonical_sort_key(kv[0])
             )
         )
         return f"{{{inner}}}"

@@ -8,27 +8,41 @@ solver must return the same value or ``None`` on every view table --
 real ones from ``HistoryProcess`` runs, arbitrary subsets of their
 known sets (including subsets not closed under parent), and hand-built
 degenerate systems.
+
+``ReferenceHistoryProcess`` is, likewise, the flood ``HistoryProcess``
+replaced: every message carries ``(view, frozenset(known))`` and every
+node keeps its own ``known`` set; its decider has no width skip and
+memoises on the frozenset of relevant ids.  ``HistoryProcess`` sends
+only the view id and derives ``known`` from the table, so both must
+intern the same records, hold the same views and know the same ids,
+and their deciders must reach the same outcomes.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.counting import diluna_viglietta, history, kowalski_mosteiro
+from repro.core.counting.diluna_viglietta import count_diluna_viglietta
 from repro.core.counting.history import (
     HistoryProcess,
     ViewRecord,
     ViewTable,
     solve_multiplicities,
 )
+from repro.core.counting.kowalski_mosteiro import count_kowalski_mosteiro
 from repro.networks.generators.markov import edge_markov_network
 from repro.networks.generators.random_dynamic import RandomConnectedAdversary
 from repro.networks.generators.t_interval import t_interval_network
 from repro.simulation.engine import EngineConfig, SynchronousEngine
+from repro.simulation.node import Process
 
 
 def reference_solve_multiplicities(table, known, *, level, anchor_total):
@@ -111,6 +125,69 @@ def reference_solve_multiplicities(table, known, *, level, anchor_total):
     )
 
 
+class ReferenceHistoryProcess(Process):
+    """The ``(view, frozenset(known))`` flood with the unskipped decider."""
+
+    def __init__(self, table, *, marked, anchor_total, decide, slack=2):
+        self.table = table
+        self.marked = marked
+        self.anchor_total = anchor_total
+        self.decide = decide
+        self.slack = slack
+        self.view = table.intern(ViewRecord(0, marked, None, ()))
+        self.known = {self.view}
+        self.level = 0
+        self.decided_level = None
+        self._solve_cache = {}
+        self._output = None
+
+    def compose(self, round_no):
+        return (self.view, frozenset(self.known))
+
+    def deliver(self, round_no, inbox):
+        profile = Counter()
+        for view, known in inbox:
+            profile[view] += 1
+            self.known |= known
+        self.view = self.table.intern(
+            ViewRecord(
+                self.level + 1, self.marked, self.view,
+                tuple(sorted(profile.items())),
+            )
+        )
+        self.level += 1
+        self.known.add(self.view)
+        if self.decide and self._output is None:
+            self._try_decide(rounds_done=round_no + 1)
+
+    def _solve(self, level):
+        relevant = frozenset(
+            view_id
+            for view_id in self.known
+            if self.table.record(view_id).level <= level
+        )
+        key = (level, relevant)
+        if key not in self._solve_cache:
+            self._solve_cache[key] = solve_multiplicities(
+                self.table, relevant, level=level,
+                anchor_total=self.anchor_total,
+            )
+        return self._solve_cache[key]
+
+    def _try_decide(self, *, rounds_done):
+        for level in range(self.level):
+            count = self._solve(level)
+            if count is None:
+                continue
+            if rounds_done < level + 1 + count + self.slack:
+                continue
+            if self._solve(level + 1) != count:
+                continue
+            self._output = count
+            self.decided_level = level
+            return
+
+
 FAMILIES = {
     "random": lambda n, seed: RandomConnectedAdversary(
         n, seed=seed
@@ -120,12 +197,11 @@ FAMILIES = {
 }
 
 
-@lru_cache(maxsize=None)
-def view_run(family: str, n: int, seed: int, marked: int, rounds: int):
-    """The shared table and every node's known set after ``rounds``."""
+def flood(process_type, family, n, seed, marked, rounds):
+    """Run ``rounds`` flooding rounds; the table and the processes."""
     table = ViewTable()
     processes = [
-        HistoryProcess(
+        process_type(
             table, marked=index < marked, anchor_total=marked, decide=False
         )
         for index in range(n)
@@ -136,6 +212,13 @@ def view_run(family: str, n: int, seed: int, marked: int, rounds: int):
         leader=None,
         config=EngineConfig(max_rounds=rounds, stop_when="budget"),
     ).run()
+    return table, processes
+
+
+@lru_cache(maxsize=None)
+def view_run(family: str, n: int, seed: int, marked: int, rounds: int):
+    """The shared table and every node's known set after ``rounds``."""
+    table, processes = flood(HistoryProcess, family, n, seed, marked, rounds)
     return table, tuple(frozenset(process.known) for process in processes)
 
 
@@ -265,3 +348,82 @@ class TestHandCases:
         stray = table.intern(ViewRecord(1, True, views[1], ()))
         known = [*views, stray]
         assert assert_agree(table, known, level=1, anchor_total=1) is None
+
+
+class TestViewIdMessages:
+    """``HistoryProcess`` against the ``(view, frozenset(known))`` flood."""
+
+    def test_known_is_the_flooded_set(self):
+        for family in sorted(FAMILIES):
+            for seed in range(4):
+                for marked in (1, 2):
+                    run = (family, 7, seed, marked, 12)
+                    table, processes = flood(HistoryProcess, *run)
+                    ref_table, reference = flood(ReferenceHistoryProcess, *run)
+                    assert table.records(range(len(table))) == (
+                        ref_table.records(range(len(ref_table)))
+                    ), run
+                    assert [p.view for p in processes] == [
+                        p.view for p in reference
+                    ], run
+                    assert [p.known for p in processes] == [
+                        p.known for p in reference
+                    ], run
+
+    def test_payloads_are_view_ids(self):
+        payloads = []
+
+        class Recording(HistoryProcess):
+            def deliver(self, round_no, inbox):
+                payloads.extend(inbox)
+                super().deliver(round_no, inbox)
+
+        _table, processes = flood(Recording, "random", 6, 0, 1, 5)
+        assert all(isinstance(p.compose(5), int) for p in processes)
+        assert payloads and all(type(payload) is int for payload in payloads)
+
+    def test_decider_solves_few_systems(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["level"])
+            return solve_multiplicities(*args, **kwargs)
+
+        monkeypatch.setattr(history, "solve_multiplicities", counted)
+        network = RandomConnectedAdversary(32, seed=5).as_dynamic_graph()
+        outcome = count_diluna_viglietta(network)
+        assert outcome.count == 32
+        assert outcome.detail["solve_level"] == 3
+        assert outcome.detail["views_interned"] == 1198
+        assert len(calls) <= 8, calls
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(FAMILIES)),
+        n=st.integers(2, 10),
+        seed=st.integers(0, 50),
+        supervisors=st.sampled_from([1, 2]),
+    )
+    def test_outcomes_match_the_unskipped_decider(
+        self, family, n, seed, supervisors
+    ):
+        def outcomes():
+            network = FAMILIES[family](n, seed)
+            dv = count_diluna_viglietta(network)
+            km = count_kowalski_mosteiro(
+                network, supervisors=min(supervisors, n)
+            )
+            return [
+                (o.count, o.output_round, o.detail["solve_level"])
+                for o in (dv, km)
+            ]
+
+        got = outcomes()
+        with mock.patch.object(
+            diluna_viglietta, "HistoryProcess", ReferenceHistoryProcess
+        ), mock.patch.object(
+            kowalski_mosteiro, "HistoryProcess", ReferenceHistoryProcess
+        ):
+            expected = outcomes()
+        assert got == expected
+        assert got[0][0] == n

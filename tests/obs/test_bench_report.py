@@ -21,6 +21,7 @@ SIDED = (
     "zoo-fused-drains",
     "packed-keys",
     "round-memo",
+    "history-view-ids",
 )
 
 
@@ -75,7 +76,7 @@ def test_reproduces_committed_summaries(tmp_path):
                         name, workload, metric
                     )
                     pairs += 1
-    assert (triples, pairs) == (224, 100)
+    assert (triples, pairs) == (256, 116)
 
 
 def _run(wall_s: float, seed: int, *, workload: str = "flood-fresh", failed: float = 0.0):
