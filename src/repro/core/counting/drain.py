@@ -153,33 +153,23 @@ def default_drain_target(n: int) -> int:
 class DrainProcess(Process):
     """Object-engine mass drain: one node of the MM/CMM protocols.
 
+    The leader outputs ``q + 1`` at the end of the first phase whose
+    :func:`certify` test yields a count ``q``, as in both papers.
+
     Args:
         phases: The (shared, round-indexed) candidate schedule.
         is_leader: Whether this node absorbs mass instead of holding it.
-        confirmations: How many consecutive phases must certify the
-            same count before the leader outputs.  ``1`` is the papers'
-            behaviour; higher values trade rounds for robustness
-            against a sub-``n`` candidate certifying spuriously.
     """
 
     def __init__(
-        self,
-        phases: Sequence[DrainPhase],
-        *,
-        is_leader: bool,
-        confirmations: int = 1,
+        self, phases: Sequence[DrainPhase], *, is_leader: bool
     ) -> None:
         if not phases:
             raise ValueError("need at least one phase")
-        if confirmations < 1:
-            raise ValueError("confirmations must be at least 1")
         self.phases = tuple(phases)
         self.is_leader = is_leader
-        self.confirmations = confirmations
         self._cursor = 0
         self._share = 0
-        self._candidate_q: int | None = None
-        self._streak = 0
         self._output: int | None = None
         self.decision_detail: dict[str, Any] | None = None
         self._reset(self.phases[0])
@@ -242,17 +232,11 @@ class DrainProcess(Process):
             residual_max=self.flood,
             dirty=self.dirty,
         )
-        if q is None or q != self._candidate_q:
-            self._candidate_q = q
-            self._streak = 0 if q is None else 1
-        else:
-            self._streak += 1
-        if q is not None and self._streak >= self.confirmations:
+        if q is not None:
             self._output = q + 1
             self.decision_detail = {
                 "candidate": phase.candidate,
                 "phases": self._cursor + 1,
-                "confirmations": self._streak,
             }
 
 
@@ -312,7 +296,9 @@ class VectorizedDrain(VectorizedProtocol):
     Every lane carries its own phase plan.  Lanes with equal plans form
     a *group* with one phase cursor, reset, snapshot, flood window and
     decision; per-lane state is only the leader scalars (``rho``,
-    ``rho_stamp``) and the decision bookkeeping.  Each node divides by
+    ``rho_stamp``) and the decided count.  A lane's leader outputs at
+    the end of the first phase that certifies a count, as in
+    :class:`DrainProcess`.  Each node divides by
     its group's ``k + 1``; a group reset or flood touches only its own
     nodes (the whole arrays when one group spans the run).  Neighbours
     never cross lanes, so the shared gathers stay exact.
@@ -322,22 +308,12 @@ class VectorizedDrain(VectorizedProtocol):
 
     Args:
         plans: One phase plan per lane, in lane order.
-        confirmations: Consecutive certifying phases a leader needs
-            before it outputs (see :class:`DrainProcess`).
     """
 
-    def __init__(
-        self,
-        plans: Sequence[Sequence[DrainPhase]],
-        *,
-        confirmations: int = 1,
-    ) -> None:
+    def __init__(self, plans: Sequence[Sequence[DrainPhase]]) -> None:
         self.plans = [tuple(plan) for plan in plans]
         if not self.plans or not all(self.plans):
             raise ValueError("need at least one lane, each with a phase")
-        if confirmations < 1:
-            raise ValueError("confirmations must be at least 1")
-        self.confirmations = confirmations
         self.details: list[dict[str, Any] | None] = []
 
     def allocate(self, layouts: Sequence[LaneLayout]) -> None:
@@ -361,8 +337,6 @@ class VectorizedDrain(VectorizedProtocol):
         lanes = len(layouts)
         self._rho: list[int] = [0] * lanes
         self._rho_stamp: list[int] = [0] * lanes
-        self._candidate_q: list[int | None] = [None] * lanes
-        self._streak = [0] * lanes
         self._counts = np.zeros(lanes, dtype=np.int64)
         self._done = np.zeros(lanes, dtype=bool)
         self._mask = np.zeros(total, dtype=bool)
@@ -505,19 +479,13 @@ class VectorizedDrain(VectorizedProtocol):
                 residual_max=int(self._flood[leader]),
                 dirty=bool(self._dirty[leader]),
             )
-            if q is None or q != self._candidate_q[lane]:
-                self._candidate_q[lane] = q
-                self._streak[lane] = 0 if q is None else 1
-            else:
-                self._streak[lane] += 1
-            if q is not None and self._streak[lane] >= self.confirmations:
+            if q is not None:
                 self._counts[lane] = q + 1
                 self._done[lane] = True
                 self._mask[leader] = True
                 self.details[lane] = {
                     "candidate": phase.candidate,
                     "phases": group.cursor + 1,
-                    "confirmations": self._streak[lane],
                 }
 
     def output_mask(self) -> np.ndarray:
@@ -531,10 +499,7 @@ class VectorizedDrain(VectorizedProtocol):
         }
 
     def subset(self, indices: Sequence[int]) -> "VectorizedDrain":
-        return VectorizedDrain(
-            [self.plans[index] for index in indices],
-            confirmations=self.confirmations,
-        )
+        return VectorizedDrain([self.plans[index] for index in indices])
 
     def absorb(self, sub: "VectorizedDrain", indices: Sequence[int]) -> None:
         # Chunks arrive in ascending lane order; align decision details
@@ -582,27 +547,18 @@ def _count_drain(
     leader: int,
     backend: str,
     max_rounds: int | None,
-    max_lane_nodes: int | None,
-    confirmations: int,
 ) -> CountingOutcome:
     resolve_backend(backend)
     if backend == "fast":
         return count_drain_batch(
-            [network],
-            [kind],
-            leader=leader,
-            max_rounds=max_rounds,
-            max_lane_nodes=max_lane_nodes,
-            confirmations=confirmations,
+            [network], [kind], leader=leader, max_rounds=max_rounds
         )[0]
     n = network.n
     if not 0 <= leader < n:
         raise ValueError(f"leader {leader} out of range for n={n}")
     phases, budget = _schedule_for(kind, n, max_rounds)
     processes = [
-        DrainProcess(
-            phases, is_leader=(index == leader), confirmations=confirmations
-        )
+        DrainProcess(phases, is_leader=(index == leader))
         for index in range(n)
     ]
     engine = SynchronousEngine(
@@ -628,7 +584,6 @@ def count_drain_batch(
     leader: int = 0,
     max_rounds: int | None = None,
     max_lane_nodes: int | None = None,
-    confirmations: int = 1,
 ) -> list[CountingOutcome]:
     """Drain counts for many networks, fused into one fast batch.
 
@@ -669,9 +624,7 @@ def count_drain_batch(
         kind: _schedule_for(kind, n, budget)[0]
         for kind, n in largest.items()
     }
-    protocol = VectorizedDrain(
-        [plans[kind] for kind in kinds], confirmations=confirmations
-    )
+    protocol = VectorizedDrain([plans[kind] for kind in kinds])
     lanes = [FastLane(network, network.n, leader=leader) for network in networks]
     engine = FastEngine(
         protocol,
@@ -709,8 +662,6 @@ def count_milani_mosteiro(
     leader: int = 0,
     backend: str = "object",
     max_rounds: int | None = None,
-    max_lane_nodes: int | None = None,
-    confirmations: int = 1,
 ) -> CountingOutcome:
     """Count with the Milani-Mosteiro doubling-candidate drain."""
     return _count_drain(
@@ -719,8 +670,6 @@ def count_milani_mosteiro(
         leader=leader,
         backend=backend,
         max_rounds=max_rounds,
-        max_lane_nodes=max_lane_nodes,
-        confirmations=confirmations,
     )
 
 
@@ -730,7 +679,6 @@ def count_milani_mosteiro_batch(
     leader: int = 0,
     max_rounds: int | None = None,
     max_lane_nodes: int | None = None,
-    confirmations: int = 1,
 ) -> list[CountingOutcome]:
     """MM counts for many networks, fused into one fast batch."""
     networks = list(networks)
@@ -740,7 +688,6 @@ def count_milani_mosteiro_batch(
         leader=leader,
         max_rounds=max_rounds,
         max_lane_nodes=max_lane_nodes,
-        confirmations=confirmations,
     )
 
 
@@ -750,8 +697,6 @@ def count_chakraborty_mm(
     leader: int = 0,
     backend: str = "object",
     max_rounds: int | None = None,
-    max_lane_nodes: int | None = None,
-    confirmations: int = 1,
 ) -> CountingOutcome:
     """Count with Chakraborty-Milani-Mosteiro Incremental Counting."""
     return _count_drain(
@@ -760,8 +705,6 @@ def count_chakraborty_mm(
         leader=leader,
         backend=backend,
         max_rounds=max_rounds,
-        max_lane_nodes=max_lane_nodes,
-        confirmations=confirmations,
     )
 
 
@@ -771,7 +714,6 @@ def count_chakraborty_mm_batch(
     leader: int = 0,
     max_rounds: int | None = None,
     max_lane_nodes: int | None = None,
-    confirmations: int = 1,
 ) -> list[CountingOutcome]:
     """CMM counts for many networks, fused into one fast batch."""
     networks = list(networks)
@@ -781,5 +723,4 @@ def count_chakraborty_mm_batch(
         leader=leader,
         max_rounds=max_rounds,
         max_lane_nodes=max_lane_nodes,
-        confirmations=confirmations,
     )

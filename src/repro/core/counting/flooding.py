@@ -116,7 +116,6 @@ def flood_time_via_protocol(
     *,
     max_rounds: int = 10_000,
     backend: str = "object",
-    max_lane_nodes: int | None = None,
 ) -> int:
     """Rounds for a flood from ``source`` to inform all nodes (engine run).
 
@@ -130,16 +129,10 @@ def flood_time_via_protocol(
         source: The initially informed node.
         max_rounds: Engine round budget.
         backend: ``"object"`` or ``"fast"``; both count the same rounds.
-        max_lane_nodes: Fast-backend streaming budget (see
-            :class:`~repro.simulation.fast.FastEngine`).
     """
     resolve_backend(backend)
     if backend == "fast":
-        return flood_times_batch(
-            [(network, source)],
-            max_rounds=max_rounds,
-            max_lane_nodes=max_lane_nodes,
-        )[0]
+        return flood_times_batch([(network, source)], max_rounds=max_rounds)[0]
     processes = [FloodProcess(index == source) for index in range(network.n)]
     engine = SynchronousEngine(
         processes,

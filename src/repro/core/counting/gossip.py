@@ -170,7 +170,6 @@ def gossip_size_estimates(
     *,
     leader: int = 0,
     backend: str = "object",
-    max_lane_nodes: int | None = None,
 ) -> list[float]:
     """Run push-sum for ``rounds`` rounds, returning the leader's estimates.
 
@@ -189,10 +188,7 @@ def gossip_size_estimates(
     resolve_backend(backend)
     if backend == "fast":
         return gossip_size_estimates_batch(
-            [(topology, n)],
-            rounds,
-            leader=leader,
-            max_lane_nodes=max_lane_nodes,
+            [(topology, n)], rounds, leader=leader
         )[0]
     processes = [PushSumProcess(index == leader) for index in range(n)]
     estimates: list[float] = []

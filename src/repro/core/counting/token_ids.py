@@ -143,7 +143,6 @@ def count_with_ids(
     *,
     leader: int = 0,
     backend: str = "object",
-    max_lane_nodes: int | None = None,
 ) -> CountingOutcome:
     """Count a dynamic network *with identifiers* in ``horizon`` rounds.
 
@@ -158,11 +157,7 @@ def count_with_ids(
     """
     resolve_backend(backend)
     if backend == "fast":
-        return count_with_ids_batch(
-            [(network, horizon)],
-            leader=leader,
-            max_lane_nodes=max_lane_nodes,
-        )[0]
+        return count_with_ids_batch([(network, horizon)], leader=leader)[0]
     processes = [IdFloodProcess(index, horizon) for index in range(network.n)]
     engine = SynchronousEngine(
         processes,

@@ -195,7 +195,6 @@ def disseminate_by_flooding(
     *,
     max_rounds: int = 10_000,
     backend: str = "object",
-    max_lane_nodes: int | None = None,
 ) -> DisseminationResult:
     """Disseminate by flooding (the paper's-model trivial algorithm).
 
@@ -212,9 +211,7 @@ def disseminate_by_flooding(
     resolve_backend(backend)
     if backend == "fast":
         return disseminate_by_flooding_batch(
-            [(network, assignment)],
-            max_rounds=max_rounds,
-            max_lane_nodes=max_lane_nodes,
+            [(network, assignment)], max_rounds=max_rounds
         )[0]
     tokens = _validate_assignment(network, assignment)
     processes = [

@@ -23,10 +23,9 @@ the representatives' order (and so every edge array) requires.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
-from repro.networks.csr import component_labels, graph_from_edges
+from repro.networks.csr import component_labels
 from repro.networks.csr_native import DynamicGraph
 
 __all__ = ["EdgeMarkovDynamicGraph", "edge_markov_network"]
@@ -123,10 +122,6 @@ class EdgeMarkovDynamicGraph:
         """The round's ``(u, v)`` edge arrays (chain advanced on demand)."""
         present = self._present(round_no)
         return self._pair_u[present], self._pair_v[present]
-
-    def at(self, round_no: int) -> nx.Graph:
-        """The round's graph as ``networkx``."""
-        return graph_from_edges(self.n, *self.edges(round_no))
 
 
 def edge_markov_network(

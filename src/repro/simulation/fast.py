@@ -41,13 +41,12 @@ match to within accumulation order).  The fast path intentionally does
 not support tracing -- re-run on the object engine to inspect a
 round-by-round trace.
 
-Known chunking caveats (documented divergences, both outside the
-differential contract): ``round_hook`` fires once per chunk per round
-rather than once per global round, and a lane's topology is only
-evaluated for the rounds its chunk executes (plus sampled telemetry
-rounds), so a graph that turns invalid *after* every lane of its chunk
-terminated is not observed the way the monolithic stack -- which keeps
-stacking finished lanes -- would observe it.
+Known chunking caveat (a documented divergence outside the
+differential contract): a lane's topology is only evaluated for the
+rounds its chunk executes (plus sampled telemetry rounds), so a graph
+that turns invalid *after* every lane of its chunk terminated is not
+observed the way the monolithic stack -- which keeps stacking finished
+lanes -- would observe it.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -116,12 +115,16 @@ def active_lane_budget() -> int | None:
 
 
 def _validate_budget(max_lane_nodes: int) -> int:
-    value = int(max_lane_nodes)
-    if value < 1:
+    if (
+        isinstance(max_lane_nodes, bool)
+        or not isinstance(max_lane_nodes, (int, np.integer))
+        or max_lane_nodes < 1
+    ):
         raise ValueError(
-            f"max_lane_nodes must be at least 1, got {max_lane_nodes!r}"
+            f"max_lane_nodes must be a positive integer, got "
+            f"{max_lane_nodes!r}"
         )
-    return value
+    return int(max_lane_nodes)
 
 
 @contextmanager
@@ -432,7 +435,6 @@ class _LaneBlock:
     def run(
         self,
         protocol: VectorizedProtocol,
-        round_hook: Callable[[int], None] | None,
         telemetry,
         *,
         stream: bool,
@@ -476,8 +478,6 @@ class _LaneBlock:
             stats["graphs"] += active_count
             stats["sent"] += round_sent
             stats["delivered"] += round_delivered
-            if round_hook is not None:
-                round_hook(round_no)
             mask = protocol.output_mask()
             if telemetry is not None and telemetry.wants(round_no):
                 # Same post-round semantics as the object engine's
@@ -577,7 +577,6 @@ class FastEngine:
         lanes: Sequence[FastLane],
         *,
         config: EngineConfig | None = None,
-        round_hook: Callable[[int], None] | None = None,
         max_lane_nodes: int | None = None,
     ) -> None:
         if not lanes:
@@ -590,7 +589,6 @@ class FastEngine:
             )
         self.protocol = protocol
         self.lanes = list(lanes)
-        self.round_hook = round_hook
         sizes = []
         for index, lane in enumerate(self.lanes):
             if lane.n < 1:
@@ -662,7 +660,6 @@ class FastEngine:
                 block = _LaneBlock(self.lanes[start:stop], config)
                 outcome = block.run(
                     protocol,
-                    self.round_hook,
                     telemetry,
                     stream=not streaming,
                     batch_nodes=self.total_nodes,

@@ -149,13 +149,6 @@ class TestMixedEqualsPerKind:
             graphs, ["incremental"] * len(graphs)
         ) == count_chakraborty_mm_batch([build(spec) for spec in SPECS])
 
-    def test_confirmations_carry_to_every_lane(self):
-        lanes = interleaved(SPECS[:2])
-        expected, _ = per_kind(lanes, confirmations=2)
-        outcomes, _ = fused(lanes, confirmations=2)
-        assert outcomes == expected
-        assert all(o.detail["confirmations"] == 2 for o in outcomes)
-
     def test_one_engine_run_lasts_as_long_as_the_slower_kind(self):
         lanes = interleaved(SPECS[:1])  # n = 3: MM and CMM both 32 rounds
         lanes += interleaved(SPECS[2:3])  # n = 5: MM 74, CMM 104 rounds

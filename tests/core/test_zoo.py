@@ -14,8 +14,10 @@ import pytest
 
 from repro.core.counting.diluna_viglietta import count_diluna_viglietta
 from repro.core.counting.drain import (
+    VectorizedDrain,
     count_chakraborty_mm,
     count_chakraborty_mm_batch,
+    count_drain_batch,
     count_milani_mosteiro,
     count_milani_mosteiro_batch,
 )
@@ -173,20 +175,46 @@ class TestDrainBackendEquivalence:
         assert outcome_key(obj) == outcome_key(fast)
         assert obj_counters == fast_counters
 
+    #: The chunked leg of each algorithm: the MM batch helper, and CMM
+    #: through the fused drain batch it shares with the zoo.
+    CHUNKED = {
+        "milani-mosteiro": count_milani_mosteiro_batch,
+        "chakraborty-milani-mosteiro": lambda networks, **kwargs: (
+            count_drain_batch(
+                networks, ["incremental"] * len(networks), **kwargs
+            )
+        ),
+    }
+
     @pytest.mark.parametrize("algorithm", sorted(BATCHES))
-    def test_chunked_lanes_match_object(self, algorithm):
+    def test_chunked_lanes_match_object(self, algorithm, monkeypatch):
         single, _batch = self.BATCHES[algorithm]
-        obj, obj_counters = self._run(
-            single, random_network(5, seed=4), backend="object"
-        )
+        sizes = [2, 5, 3]
+        chunks = []
+        subset = VectorizedDrain.subset
+
+        def spy(protocol, indices):
+            chunks.append((indices[0], indices[-1] + 1))
+            return subset(protocol, indices)
+
+        obj = []
+        obj_counters = dict.fromkeys(ENGINE_COUNTERS, 0)
+        for n in sizes:
+            outcome, counters = self._run(
+                single, random_network(n, seed=4), backend="object"
+            )
+            obj.append(outcome_key(outcome))
+            for name, value in counters.items():
+                obj_counters[name] += value
+        monkeypatch.setattr(VectorizedDrain, "subset", spy)
         fast, fast_counters = self._run(
-            single,
-            random_network(5, seed=4),
-            backend="fast",
+            self.CHUNKED[algorithm],
+            [random_network(n, seed=4) for n in sizes],
             max_lane_nodes=2,
         )
-        assert outcome_key(obj) == outcome_key(fast)
-        assert obj_counters == fast_counters
+        assert chunks == [(0, 1), (1, 2), (2, 3)]
+        assert [outcome_key(o) for o in fast] == obj
+        assert fast_counters == obj_counters
 
     @pytest.mark.parametrize("algorithm", sorted(BATCHES))
     def test_batch_equals_singles(self, algorithm):

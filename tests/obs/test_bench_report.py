@@ -22,6 +22,7 @@ SIDED = (
     "packed-keys",
     "round-memo",
     "history-view-ids",
+    "fewer-knobs",
 )
 
 
@@ -76,7 +77,7 @@ def test_reproduces_committed_summaries(tmp_path):
                         name, workload, metric
                     )
                     pairs += 1
-    assert (triples, pairs) == (256, 116)
+    assert (triples, pairs) == (288, 132)
 
 
 def _run(wall_s: float, seed: int, *, workload: str = "flood-fresh", failed: float = 0.0):

@@ -388,17 +388,6 @@ class TestFastEngine:
         with pytest.raises(ValueError, match="lane"):
             FastEngine(Flood([]), [])
 
-    def test_round_hook_called_per_round(self):
-        seen = []
-        engine = FastEngine(
-            Flood([0]),
-            [FastLane(dyn([nx.path_graph(4)]), 4, leader=None)],
-            config=EngineConfig(stop_when="all", max_rounds=10),
-            round_hook=seen.append,
-        )
-        engine.run()
-        assert seen == [0, 1, 2]
-
     def test_counters_match_object_engine_semantics(self):
         # 1 run, 3 rounds, 3 graphs; sending set sizes 1, 2, 3 over the
         # path-4 flood; deliveries: round 0: node1 gets 1; round 1:

@@ -60,6 +60,11 @@ BUDGETS = (1, 7, None)
 
 SIZES = (4, 7, 3, 6)
 
+#: Budgets every entry point must refuse: zero, a bool, a
+#: non-integral float and a numeric string (``int()`` would take the
+#: last three).
+INVALID_BUDGETS = (0, True, 2.9, "3")
+
 
 def _static(n: int, seed: int) -> DynamicGraph:
     graph = random_connected_graph(
@@ -136,8 +141,9 @@ class TestPartitionLanes:
                 assert load <= budget or stop - start == 1
 
     def test_invalid_budget_rejected(self):
-        with pytest.raises(ValueError, match="max_lane_nodes"):
-            partition_lanes([1, 2], 0)
+        for budget in INVALID_BUDGETS:
+            with pytest.raises(ValueError, match="max_lane_nodes"):
+                partition_lanes([1, 2], budget)
 
 
 class TestChunkedEquivalence:
@@ -327,9 +333,13 @@ class TestAmbientBudget:
         assert len(engine._chunks) == 1
 
     def test_invalid_budget_rejected(self):
-        with pytest.raises(ValueError, match="max_lane_nodes"):
-            with lane_budget_enabled(0):
-                pass  # pragma: no cover
+        lanes = [FastLane(star_network(3), 3, leader=0)]
+        for budget in INVALID_BUDGETS:
+            with pytest.raises(ValueError, match="max_lane_nodes"):
+                with lane_budget_enabled(budget):
+                    pass  # pragma: no cover
+            with pytest.raises(ValueError, match="max_lane_nodes"):
+                FastEngine(VectorizedStar(), lanes, max_lane_nodes=budget)
 
 
 class TestMemoryBound:
