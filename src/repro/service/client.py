@@ -101,6 +101,9 @@ class ServiceClient:
     def wait(self, job_id: str, *, timeout_s: float = 120.0) -> dict[str, Any]:
         """Poll until the job is terminal; returns its final status.
 
+        No sleep between polls: the server holds each status answer up
+        to 50 ms while the job runs, and answers the moment it ends.
+
         Raises:
             TimeoutError: Still running after ``timeout_s``.
         """
@@ -113,7 +116,6 @@ class ServiceClient:
                 raise TimeoutError(
                     f"job {job_id} still {status['state']} after {timeout_s}s"
                 )
-            time.sleep(0.1)
 
     def stream_events(
         self, job_id: str, *, follow: bool = True

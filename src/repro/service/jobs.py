@@ -74,6 +74,10 @@ class Job:
     error: str | None = None
     provenance: list[str] = field(default_factory=list)
     results: list[dict[str, Any]] | None = None
+    #: Set once the job has run: after ``finished_ts``, never cleared.
+    finished: threading.Event = field(
+        default_factory=threading.Event, repr=False, compare=False
+    )
 
     @property
     def done(self) -> bool:
@@ -250,13 +254,10 @@ class JobManager:
         job = self.get(job_id)
         if job is None:
             raise KeyError(f"unknown job {job_id!r}")
-        deadline = time.monotonic() + timeout_s
-        while not job.done:
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {job.state} after {timeout_s}s"
-                )
-            time.sleep(0.02)
+        if not job.finished.wait(timeout_s):
+            raise TimeoutError(
+                f"job {job_id} still {job.state} after {timeout_s}s"
+            )
         return job
 
     # -- execution ---------------------------------------------------------
@@ -313,6 +314,7 @@ class JobManager:
             job.finished_ts = time.time()
             remove_sink(sink)
             sink.close()
+            job.finished.set()
 
     def shutdown(self) -> None:
         """Stop the worker after the current job (idempotent)."""

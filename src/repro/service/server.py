@@ -20,7 +20,11 @@ examples)::
                              400 -> schema violation / non-JSON param
                              (the error names the offending key)
     GET  /jobs               every job, submission order
-    GET  /jobs/<id>          one job's status
+    GET  /jobs/<id>          one job's status; on a queued or running
+                             job it first waits up to 50 ms for the
+                             job to finish, so a poller that never
+                             sleeps is paced and hears of completion
+                             at once
     GET  /jobs/<id>/result   results (409 until the job is terminal)
     GET  /jobs/<id>/events   the job's JSONL progress stream
                              (``?follow=1`` keeps the connection open
@@ -36,6 +40,7 @@ resubmission.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -59,20 +64,31 @@ __all__ = ["ReproService", "serve"]
 #: bigger is a mistake or abuse).
 _MAX_BODY_BYTES = 1 << 20
 
+#: Longest ``GET /jobs/<id>`` holds its answer while the job is queued or
+#: running; it returns early the moment the job finishes.
+_STATUS_WAIT_S = 0.05
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Routes requests onto the owning :class:`ReproService`."""
 
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a response goes out as headers then body (and the
+    # events stream as many small writes); with Nagle's algorithm each
+    # later write waits for the client's delayed ACK, ~40 ms per
+    # keep-alive request.
+    disable_nagle_algorithm = True
     server_version = f"repro-serve/{__version__}"
     service: "ReproService"  # injected by ReproService._make_handler
 
     # -- plumbing ----------------------------------------------------------
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        _log.debug(
-            "http", extra={"request": format % args, "client": self.client_address[0]}
-        )
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug(
+                "http",
+                extra={"request": format % args, "client": self.client_address[0]},
+            )
 
     def _send_json(self, status: int, payload: dict[str, Any]) -> None:
         body = (json.dumps(payload, indent=1) + "\n").encode()
@@ -126,6 +142,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"unknown job {job_id!r}")
             return
         if not rest:
+            job.finished.wait(_STATUS_WAIT_S)  # no wait once the job has run
             self._send_json(200, job.status())
         elif rest == ["result"]:
             if not job.done:
@@ -153,8 +170,9 @@ class _Handler(BaseHTTPRequestHandler):
         The stream is close-delimited (``Connection: close``): with
         ``follow`` the handler keeps polling the file and flushing new
         whole lines until the job reaches a terminal state and the
-        file is drained.  A torn trailing line on a *finished* job can
-        never be completed by the writer, so after a short grace period
+        file is drained; its wait between reads ends the moment the job
+        does.  A torn trailing line on a *finished* job can never be
+        completed by the writer, so after a short grace period
         (two 20 ms re-reads, under one 50 ms poll interval) the partial
         tail is flushed as-is and the stream closes -- it must not spin
         waiting for a newline that will never arrive.
@@ -174,7 +192,7 @@ class _Handler(BaseHTTPRequestHandler):
             if not follow:
                 return
             if not job.done:
-                time.sleep(0.02 if lines or cursor.pending else 0.05)
+                job.finished.wait(0.02 if lines or cursor.pending else 0.05)
             elif not cursor.pending:
                 if not lines:
                     return  # else drain what accumulated after the flip

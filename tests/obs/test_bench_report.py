@@ -23,6 +23,7 @@ SIDED = (
     "round-memo",
     "history-view-ids",
     "fewer-knobs",
+    "service-nodelay",
 )
 
 
@@ -77,7 +78,7 @@ def test_reproduces_committed_summaries(tmp_path):
                         name, workload, metric
                     )
                     pairs += 1
-    assert (triples, pairs) == (288, 132)
+    assert (triples, pairs) == (320, 148)
 
 
 def _run(wall_s: float, seed: int, *, workload: str = "flood-fresh", failed: float = 0.0):

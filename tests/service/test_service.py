@@ -1,10 +1,13 @@
 """The experiment service: submission lifecycle, cache-served repeats
 with zero engine work (counter-proved), JSONL event streaming that
-stitches to one trace root, and schema-boundary rejections."""
+stitches to one trace root, schema-boundary rejections, and prompt,
+paced answers to clients that poll."""
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import time
 import urllib.error
 import urllib.request
@@ -41,6 +44,22 @@ def service(tmp_path):
 @pytest.fixture
 def client(service):
     return ServiceClient(service.url, timeout_s=120.0)
+
+
+#: How long :func:`slow_jobs` holds each job before running it.
+SLOW_JOB_S = 0.3
+
+
+@pytest.fixture
+def slow_jobs(monkeypatch):
+    """Every job sleeps :data:`SLOW_JOB_S` before it runs."""
+    real_run = jobs.run_scenario
+
+    def run_slowly(*args, **kwargs):
+        time.sleep(SLOW_JOB_S)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(jobs, "run_scenario", run_slowly)
 
 
 def engine_counters() -> dict[str, float]:
@@ -137,6 +156,22 @@ class TestJobManager:
         assert get_registry().value("service.jobs.failed") == failed + 1
         ok = manager.submit(Scenario.from_dict(SMOKE))
         assert manager.wait(ok["job"], timeout_s=120).state == "completed"
+
+    def test_wait_raises_for_unknown_and_unfinished_jobs(
+        self, tmp_path, slow_jobs
+    ):
+        manager = JobManager(tmp_path / "state")
+        try:
+            with pytest.raises(KeyError, match="job-9999"):
+                manager.wait("job-9999")
+            job_id = manager.submit(Scenario.from_dict(SMOKE))["job"]
+            with pytest.raises(TimeoutError, match=job_id):
+                manager.wait(job_id, timeout_s=0.01)
+            job = manager.wait(job_id, timeout_s=120)
+            assert job.state == "completed"
+            assert job.finished_ts is not None
+        finally:
+            manager.shutdown()
 
     def test_worker_survives_exception_at_runtime(self, tmp_path, monkeypatch):
         real_run = jobs.run_scenario
@@ -340,3 +375,88 @@ class TestHttpService:
         listed = client.jobs()
         assert any(job["job"] == submission["job"] for job in listed)
         client.wait(submission["job"])
+
+
+def poll_keep_alive(service, job_id):
+    """``GET /jobs/<id>`` on one keep-alive connection, never sleeping."""
+    connection = http.client.HTTPConnection(
+        service.host, service.port, timeout=30
+    )
+    deadline = time.monotonic() + 30
+    try:
+        while time.monotonic() < deadline:
+            connection.request("GET", f"/jobs/{job_id}")
+            status = json.loads(connection.getresponse().read())
+            if status["state"] in ("completed", "failed"):
+                return status
+        raise TimeoutError(f"job {job_id} unfinished after 30 s")
+    finally:
+        connection.close()
+
+
+def poll_per_request(service, job_id):
+    """``GET /jobs/<id>`` on a new connection each time, never sleeping."""
+    client = ServiceClient(service.url, timeout_s=30)
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        status = client.job(job_id)
+        if status["state"] in ("completed", "failed"):
+            return status
+    raise TimeoutError(f"job {job_id} unfinished after 30 s")
+
+
+POLLERS = {
+    "keep-alive": poll_keep_alive,
+    "per-request": poll_per_request,
+    "client-wait": lambda service, job_id: ServiceClient(
+        service.url, timeout_s=30
+    ).wait(job_id, timeout_s=30),
+}
+
+
+class TestPolling:
+    """A keep-alive request is not held back by Nagle's algorithm, and a
+    status request on an unfinished job waits for the job: a poller that
+    never sleeps is paced, not spun, and hears of completion at once."""
+
+    @pytest.fixture(params=sorted(POLLERS))
+    def polled(self, request, service, slow_jobs):
+        """One slow job polled to completion by one poller."""
+        job_id = ServiceClient(service.url).submit(SMOKE)["job"]
+        before = get_registry().value("service.http.requests")
+        start = time.monotonic()
+        final = POLLERS[request.param](service, job_id)
+        seen_ts = time.time()
+        elapsed = time.monotonic() - start
+        requests = get_registry().value("service.http.requests") - before
+        job = service.manager.wait(job_id, timeout_s=30)
+        assert final["state"] == "completed"
+        return {
+            "requests": requests,
+            "elapsed_s": elapsed,
+            "late_s": seen_ts - job.finished_ts,
+        }
+
+    def test_keep_alive_requests_are_not_delayed(self, service):
+        connection = http.client.HTTPConnection(
+            service.host, service.port, timeout=30
+        )
+        times = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert json.loads(response.read())["status"] == "ok"
+                times.append(time.perf_counter() - start)
+        finally:
+            connection.close()
+        # Nagle's algorithm held every answer back ~44 ms for the
+        # client's delayed ACK.
+        assert statistics.median(times) < 0.010
+
+    def test_sleepless_poller_is_paced(self, polled):
+        assert polled["requests"] <= polled["elapsed_s"] / 0.05 + 3, polled
+
+    def test_sleepless_poller_hears_of_completion_at_once(self, polled):
+        assert polled["late_s"] < 0.020, polled
