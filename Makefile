@@ -71,13 +71,16 @@ bench-scale-smoke:
 	$(PYTHON) benchmarks/bench_scale.py --quick
 
 # Benchmark self-check: short untraced runs of the two fresh-topology
-# workloads, which exit 1 on any failed output check (flood rounds ==
-# reference, drain counts == n, exact counters repeating across
+# workloads and of gossip-held, which exit 1 on any failed output check
+# (flood rounds == reference, drain counts == n, push-sum curves on the
+# held stack, whose products run in parallel row blocks, == the streamed
+# one-lane-per-chunk reference, exact counters repeating across
 # operations), then the perfbench unit tests.  The runs come first so a
 # failing unit test cannot keep them from running.
 perfbench-smoke:
 	$(PYTHON) perfbench/run.py --workload flood-fresh --seed 1 --seconds 3 --trace 0
 	$(PYTHON) perfbench/run.py --workload drain-lanes --seed 1 --seconds 3 --trace 0
+	$(PYTHON) perfbench/run.py --workload gossip-held --seed 1 --seconds 3 --trace 0
 	$(PYTHON) -m pytest -q perfbench/tests
 
 # Sharded-sweep smoke: the same report split as two disjoint shards

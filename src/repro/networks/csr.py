@@ -58,6 +58,19 @@ built (:class:`repro.networks.csr_native.DynamicGraph` and the fast
 engine's lane block), so a fresh-graph-per-round workload holds O(1)
 adjacencies and a held round is built once.
 
+Parallel products: from its second product on, an adjacency with at
+least :data:`PARALLEL_MIN_ENTRIES` stored entries, on a process allowed
+two or more CPUs, splits ``A @ x`` into one contiguous row block per
+CPU, balanced by stored entries.  Each block runs scipy's own CSR
+kernel (the one ``matrix @ x`` calls, which releases the GIL) on its
+slice of ``indptr`` and writes a disjoint slice of one output; the
+calling thread runs the first block and a module-level thread pool the
+rest.  Every row is still summed by one thread in stored order, so the
+result is bit-identical to ``matrix @ x`` for any block count.  The
+first product stays serial, so a fresh round's one-shot adjacency never
+pays for the split.  A forked child forgets the parent's pool, whose
+threads it does not inherit.
+
 Index dtype policy: every adjacency built here routes its CSR index
 arrays through :func:`index_dtype_for` -- ``int32`` while every index
 value (node count *and* stored entry count) fits, ``int64`` otherwise.
@@ -69,11 +82,15 @@ storage dtype, so no intermediate can overflow; a stack of more than
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import networkx as nx
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from repro.obs.metrics import counter
@@ -104,6 +121,19 @@ LABEL_MAX_ENTRIES = 4096
 
 #: First value that no longer fits an ``int32`` index.
 INT32_LIMIT = 2**31
+
+#: Reused adjacencies with at least this many stored entries split
+#: their products into row blocks on a thread pool; smaller ones stay
+#: serial.  The blocked product's dispatch (~25 us on a tiny matrix) is
+#: repaid from about 16k entries (x86_64, 2 vCPUs, scipy 1.17, random
+#: trees, reused adjacency: ``(N, 2)`` 74 us serial against 78 us
+#: blocked at 8,190 entries, 156 against 113 us at 16,382; ``(N,)`` 62
+#: against 73 us at 12,286 and about even at 16,382); see
+#: benchmarks/results/parallel-products-breakeven.json.
+PARALLEL_MIN_ENTRIES = 16_384
+
+#: CPUs this process may run on: the row blocks per parallel product.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def index_dtype_for(n: int) -> np.dtype:
@@ -136,7 +166,7 @@ class CSRAdjacency:
             per-lane flags come from :func:`csr_from_lane_edges`).
     """
 
-    __slots__ = ("n", "matrix", "connected", "_degrees")
+    __slots__ = ("n", "matrix", "connected", "_degrees", "_cuts")
 
     def __init__(
         self, matrix: sp.csr_array, *, connected: bool | None
@@ -145,6 +175,8 @@ class CSRAdjacency:
         self.matrix = matrix
         self.connected = connected
         self._degrees: np.ndarray | None = None
+        # None before the first product, () after it, then the row cuts.
+        self._cuts: tuple[int, ...] | None = None
 
     @property
     def degrees(self) -> np.ndarray:
@@ -160,17 +192,127 @@ class CSRAdjacency:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``A @ x``: per-node sum of the neighbours' values."""
-        return self.matrix @ x
+        return self._product(x)
 
     def matmul(self, X: np.ndarray) -> np.ndarray:
         """``A @ X`` for a dense per-node state matrix ``X``."""
-        return self.matrix @ X
+        return self._product(X)
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x``, split into row blocks from the second product on."""
+        cuts = self._cuts
+        if cuts is None:
+            self._cuts = ()
+            return self.matrix @ x
+        if not cuts:
+            cuts = self._cuts = _row_cuts(self.matrix)
+        if len(cuts) > 2 and _blockable(x, self.n):
+            counter("adjacency.parallel_products")
+            return _blocked_product(self.matrix, cuts, x)
+        return self.matrix @ x
 
     def __repr__(self) -> str:
         return (
             f"CSRAdjacency(n={self.n}, edges={self.edges}, "
             f"connected={self.connected})"
         )
+
+
+def _row_cuts(matrix: sp.csr_array) -> tuple[int, ...]:
+    """Row cuts ``(0, ..., n)`` of one block per CPU, balanced by entries.
+
+    One block, ``(0, n)``, when the matrix is too small to repay the
+    split or the process may run on one CPU only.
+    """
+    n = int(matrix.shape[0])
+    if (
+        _WORKERS < 2
+        or matrix.nnz < PARALLEL_MIN_ENTRIES
+        or matrix.dtype != np.float64
+    ):
+        return (0, n)
+    targets = matrix.nnz * np.arange(1, _WORKERS) // _WORKERS
+    inner = np.searchsorted(matrix.indptr, targets).tolist()
+    return tuple(dict.fromkeys([0, *inner, n]))
+
+
+def _blockable(x: np.ndarray, n: int) -> bool:
+    """Whether ``x`` is an input the blocked product takes as is."""
+    return (
+        x.__class__ is np.ndarray
+        and x.dtype == np.float64
+        and 1 <= x.ndim <= 2
+        and x.shape[0] == n
+        and x.size > 0
+    )
+
+
+def _blocked_product(
+    matrix: sp.csr_array, cuts: Sequence[int], x: np.ndarray
+) -> np.ndarray:
+    """``matrix @ x`` with rows ``cuts[i]:cuts[i + 1]`` as block ``i``.
+
+    Block 0 runs on the calling thread, the rest on the pool.  A
+    ``(N, 1)`` input goes through the one-vector kernel, as in scipy.
+    """
+    if x.ndim == 2 and x.shape[1] == 1:
+        return _blocked_product(matrix, cuts, x[:, 0]).reshape(-1, 1)
+    x = np.ascontiguousarray(x)
+    out = np.zeros(x.shape)
+    blocks = list(zip(cuts[:-1], cuts[1:]))
+    pool = _executor()
+    pending = [
+        pool.submit(_block_product, matrix, lo, hi, x, out)
+        for lo, hi in blocks[1:]
+    ]
+    _block_product(matrix, *blocks[0], x, out)
+    for future in pending:
+        future.result()
+    return out
+
+
+def _block_product(
+    matrix: sp.csr_array, lo: int, hi: int, x: np.ndarray, out: np.ndarray
+) -> None:
+    """Rows ``lo:hi`` of ``matrix @ x`` into ``out[lo:hi]`` (zeroed)."""
+    indptr = matrix.indptr[lo : hi + 1]
+    if x.ndim == 1:
+        _sparsetools.csr_matvec(
+            hi - lo, matrix.shape[1], indptr, matrix.indices, matrix.data,
+            x, out[lo:hi],
+        )
+    else:
+        _sparsetools.csr_matvecs(
+            hi - lo, matrix.shape[1], x.shape[1], indptr, matrix.indices,
+            matrix.data, x.ravel(), out[lo:hi].ravel(),
+        )
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The blocked products' thread pool, created on first use."""
+    global _pool
+    if _pool is None:
+        with _pool_lock:
+            if _pool is None:
+                _pool = ThreadPoolExecutor(
+                    max(_WORKERS - 1, 1), thread_name_prefix="csr-product"
+                )
+    return _pool
+
+
+def _forget_pool() -> None:
+    """Drop the parent's pool in a forked child: its threads are not there."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def lower_graph(graph: nx.Graph, *, n: int | None = None) -> CSRAdjacency:

@@ -7,10 +7,17 @@ stack.  The production kernels must match them bit for bit: the same
 ``indptr``/``indices``/``data`` arrays and dtypes, the same
 ``connected`` flag, and the same canonical-format flags.  The fused
 multi-lane build is in turn held to per-lane builds stacked afterwards.
+
+The parallel sparse product of a reused adjacency is held to
+``matrix @ x`` bit for bit, and the protocols that use it to a run
+pinned to one CPU.  These tests call scipy's private CSR kernels the
+same way the product does, so a scipy release that changes their
+signature fails here first.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import re
 import tracemalloc
 from unittest import mock
@@ -33,6 +40,11 @@ from repro.networks.csr import (
     stack_adjacencies,
     validate_edge_arrays,
 )
+from repro.core.counting.gossip import gossip_size_estimates_batch
+from repro.core.counting.token_ids import count_with_ids_batch
+from repro.core.dissemination import disseminate_by_flooding_batch
+from repro.networks.csr_native import DynamicGraph
+from repro.networks.generators.random_dynamic import random_tree_edges
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.simulation.errors import TopologyError
 
@@ -333,3 +345,232 @@ class TestPackedKeyWidth:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+# -- parallel products -----------------------------------------------------
+
+
+def assert_same_product(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+def random_matrix(rows: int, entries: int, seed: int) -> sp.csr_array:
+    """A ``rows x rows`` CSR with exactly ``entries`` random stored values."""
+    rng = np.random.default_rng(seed)
+    keys = rng.choice(rows * rows, size=entries, replace=False)
+    matrix = sp.csr_array(
+        (rng.standard_normal(entries), (keys // rows, keys % rows)),
+        shape=(rows, rows),
+    )
+    matrix.sort_indices()
+    return matrix
+
+
+def lane_stack() -> csr.CSRAdjacency:
+    """Three random-tree lanes of 40, 1 and 60 nodes, and 5 isolated nodes."""
+    sizes = [40, 1, 60, 5]
+    edges = [random_tree_edges(n, np.random.default_rng(n)) for n in sizes[:3]]
+    edges.append((np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)))
+    adjacency, _ = csr_from_lane_edges(sizes, edges)
+    return adjacency
+
+
+def inputs(n: int, seed: int = 0) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return {
+        "vector": rng.standard_normal(n),
+        "column": rng.standard_normal((n, 1)),
+        "two": rng.standard_normal((n, 2)),
+        "five": rng.standard_normal((n, 5)),
+        "strided-vector": rng.standard_normal((n, 3))[:, 1],
+        "strided-two": rng.standard_normal((n, 4))[:, ::2],
+        "fortran": np.asfortranarray(rng.standard_normal((n, 3))),
+    }
+
+
+def held(n: int, seed: int) -> DynamicGraph:
+    u, v = random_tree_edges(n, np.random.default_rng(seed))
+    return DynamicGraph(n, lambda round_no: (u, v), round_key=lambda round_no: 0)
+
+
+@pytest.fixture
+def split_everything(monkeypatch):
+    """Split every reused product into three blocks, whatever its size."""
+    monkeypatch.setattr(csr, "PARALLEL_MIN_ENTRIES", 0)
+    monkeypatch.setattr(csr, "_WORKERS", 3)
+
+
+def counted(fn, *args, **kwargs):
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        result = fn(*args, **kwargs)
+    return result, registry.snapshot()["counters"].get("adjacency.parallel_products", 0)
+
+
+class TestBlockedProduct:
+    #: Lane offsets of :func:`lane_stack`: 0, 40, 41, 101, 106.
+    CUTS = {
+        "lane-edges": (0, 40, 41, 101, 106),
+        "inside-lanes": (0, 17, 70, 106),
+        "mixed": (0, 40, 55, 101, 103, 106),
+        "isolated-block": (0, 101, 106),
+        "one-row-blocks": tuple(range(107)),
+        "one-block": (0, 106),
+    }
+
+    @pytest.mark.parametrize("cuts", CUTS.values(), ids=CUTS.keys())
+    @pytest.mark.parametrize("name", inputs(1).keys())
+    def test_matches_serial_product(self, cuts, name):
+        matrix = lane_stack().matrix
+        x = inputs(matrix.shape[0])[name]
+        assert_same_product(csr._blocked_product(matrix, cuts, x), matrix @ x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 50),
+        density=st.floats(0.0, 0.5),
+        columns=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_any_cuts_match(self, rows, density, columns, data):
+        entries = int(rows * rows * density)
+        matrix = random_matrix(rows, entries, seed=rows + entries)
+        inner = data.draw(st.lists(st.integers(0, rows), max_size=5))
+        cuts = tuple(dict.fromkeys([0, *sorted(inner), rows]))
+        shape = (rows,) if columns == 0 else (rows, columns)
+        x = np.random.default_rng(columns).standard_normal(shape)
+        assert_same_product(csr._blocked_product(matrix, cuts, x), matrix @ x)
+
+    def test_int64_indices(self):
+        matrix = lane_stack().matrix
+        wide = sp.csr_array(
+            (matrix.data, matrix.indices.astype(np.int64), matrix.indptr.astype(np.int64)),
+            shape=matrix.shape,
+        )
+        x = inputs(matrix.shape[0])["two"]
+        assert_same_product(csr._blocked_product(wide, (0, 50, 106), x), matrix @ x)
+
+
+class TestRowCuts:
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_balanced_by_entries(self, monkeypatch, workers):
+        monkeypatch.setattr(csr, "_WORKERS", workers)
+        matrix = random_matrix(400, 20_000, seed=1)
+        cuts = csr._row_cuts(matrix)
+        assert cuts[0] == 0 and cuts[-1] == 400 and len(cuts) == workers + 1
+        assert list(cuts) == sorted(set(cuts))
+        per_block = np.diff(matrix.indptr[list(cuts)])
+        assert per_block.max() - per_block.min() <= 2 * np.diff(matrix.indptr).max()
+
+    def test_one_block_below_the_constant_or_on_one_cpu(self, monkeypatch):
+        small = random_matrix(400, csr.PARALLEL_MIN_ENTRIES - 1, seed=2)
+        large = random_matrix(400, csr.PARALLEL_MIN_ENTRIES, seed=2)
+        monkeypatch.setattr(csr, "_WORKERS", 2)
+        assert csr._row_cuts(small) == (0, 400)
+        assert len(csr._row_cuts(large)) == 3
+        monkeypatch.setattr(csr, "_WORKERS", 1)
+        assert csr._row_cuts(large) == (0, 400)
+
+
+class TestAdjacencyProducts:
+    @pytest.mark.parametrize("offset, split", [(-1, False), (0, True), (1, True)])
+    @pytest.mark.parametrize("name", ["vector", "two"])
+    def test_constant_boundary(self, monkeypatch, offset, split, name):
+        monkeypatch.setattr(csr, "_WORKERS", 2)
+        matrix = random_matrix(300, csr.PARALLEL_MIN_ENTRIES + offset, seed=3)
+        adjacency = csr.CSRAdjacency(matrix, connected=None)
+        x = inputs(300)[name]
+        products = [counted(adjacency.matvec, x) for _ in range(3)]
+        for product, _ in products:
+            assert_same_product(product, matrix @ x)
+        assert [count for _, count in products] == [0, int(split), int(split)]
+
+    def test_first_product_serial_then_blocked(self, split_everything):
+        adjacency = lane_stack()
+        x = inputs(adjacency.n)["five"]
+        first, first_count = counted(adjacency.matmul, x)
+        second, second_count = counted(adjacency.matmul, x)
+        assert (first_count, second_count) == (0, 1)
+        assert_same_product(second, first)
+        assert adjacency._cuts == csr._row_cuts(adjacency.matrix)
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.arange(106), np.ones((106, 2), dtype=np.float32), np.ones((106, 0))],
+        ids=["int", "float32", "no-columns"],
+    )
+    def test_other_inputs_stay_serial(self, split_everything, x):
+        adjacency = lane_stack()
+        adjacency.matvec(np.ones(adjacency.n))
+        product, count = counted(adjacency.matvec, x)
+        assert count == 0
+        assert_same_product(product, adjacency.matrix @ x)
+
+
+def gossip_curves(seed: int = 1, rounds: int = 30) -> list[list[float]]:
+    specs = [(held(n, seed + n), n) for n in (50, 80, 3)]
+    return gossip_size_estimates_batch(specs, rounds)
+
+
+def pinned(monkeypatch, fn, *args, **kwargs):
+    """``fn``'s result with the process pinned to one CPU."""
+    with monkeypatch.context() as patch:
+        patch.setattr(csr, "_WORKERS", 1)
+        return counted(fn, *args, **kwargs)
+
+
+class TestProtocolsMatchOneCpu:
+    def test_gossip_curves(self, monkeypatch, split_everything):
+        split, split_count = counted(gossip_curves)
+        serial, serial_count = pinned(monkeypatch, gossip_curves)
+        assert split == serial
+        assert (split_count, serial_count) == (29, 0)
+
+    @pytest.mark.parametrize("budget", [None, 80])
+    def test_dissemination(self, monkeypatch, split_everything, budget):
+        jobs = [
+            (held(60, 7), {0: 0, 11: 1, 42: 2}),
+            (held(90, 8), {5: 0, 6: 0, 70: 3}),
+        ]
+        run = disseminate_by_flooding_batch
+        split, split_count = counted(run, jobs, max_lane_nodes=budget)
+        serial, serial_count = pinned(monkeypatch, run, jobs, max_lane_nodes=budget)
+        assert split == serial
+        assert split_count > 0 and serial_count == 0
+
+    @pytest.mark.parametrize("budget", [None, 80])
+    def test_token_ids(self, monkeypatch, split_everything, budget):
+        jobs = [(held(60, 9), 60), (held(90, 10), 90)]
+        run = count_with_ids_batch
+        split, split_count = counted(run, jobs, max_lane_nodes=budget)
+        serial, serial_count = pinned(monkeypatch, run, jobs, max_lane_nodes=budget)
+        assert split == serial
+        assert [outcome.count for outcome in split] == [60, 90]
+        assert split_count > 0 and serial_count == 0
+
+
+def _child_curves(send) -> None:
+    send.send(gossip_curves())
+    send.close()
+
+
+def test_forked_child_runs_blocked_products(split_everything):
+    """A child forked after the pool ran still gets its products done."""
+    parent = gossip_curves()
+    assert csr._pool is not None
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_child_curves, args=(send,), daemon=True)
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "forked child hung on a blocked product"
+        assert receive.recv() == parent
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0

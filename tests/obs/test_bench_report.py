@@ -24,6 +24,7 @@ SIDED = (
     "history-view-ids",
     "fewer-knobs",
     "service-nodelay",
+    "parallel-products",
 )
 
 
@@ -78,7 +79,7 @@ def test_reproduces_committed_summaries(tmp_path):
                         name, workload, metric
                     )
                     pairs += 1
-    assert (triples, pairs) == (320, 148)
+    assert (triples, pairs) == (352, 164)
 
 
 def _run(wall_s: float, seed: int, *, workload: str = "flood-fresh", failed: float = 0.0):
