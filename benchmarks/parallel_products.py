@@ -14,17 +14,17 @@ turn with the other two (so host drift hits all three alike):
 Prints one JSON object: the host, the CPUs the blocks use, and one
 record per (size, input) cell::
 
-    PYTHONPATH=src python benchmarks/parallel_products.py --calls 1000
+    PYTHONPATH=src python benchmarks/parallel_products.py
 
 ``repro.networks.csr.PARALLEL_MIN_ENTRIES`` is where ``blocked_later_us``
-first falls below ``serial_us`` for the ``(N, 2)`` input.  The blocks
-run on this process's CPUs; on one CPU there is nothing to split, and
+first falls below ``serial_us`` for the ``(N, 2)`` input.  Every size is
+split into two blocks, the case the constant is stated for, however many
+CPUs this process may run on; on one CPU there is nothing to split, and
 the script says so and exits 1.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import platform
 import statistics
@@ -38,8 +38,11 @@ from repro.networks import csr
 from repro.networks.csr import CSRAdjacency, csr_from_edges
 from repro.networks.generators.random_dynamic import random_tree_edges
 
-#: Default tree sizes: powers of two, and the midpoints near the cut-off.
+#: Tree sizes: powers of two, and the midpoints near the cut-off.
 SIZES = (1024, 2048, 4096, 6144, 8192, 12288, 16384, 24576, 32768, 65536, 131072)
+
+#: Timed calls per cell and way.
+CALLS = 1000
 
 
 def _median_us(calls: dict, rounds: int) -> dict:
@@ -55,7 +58,7 @@ def _median_us(calls: dict, rounds: int) -> dict:
     }
 
 
-def measure(n: int, columns: int, calls: int) -> dict:
+def measure(n: int, columns: int) -> dict:
     matrix = csr_from_edges(n, *random_tree_edges(n, np.random.default_rng(n))).matrix
     shape = (n,) if columns == 1 else (n, columns)
     x = np.random.default_rng(0).random(shape)
@@ -72,7 +75,7 @@ def measure(n: int, columns: int, calls: int) -> dict:
             "blocked_first_us": first,
             "blocked_later_us": lambda: csr._blocked_product(matrix, cuts, x),
         },
-        calls,
+        CALLS,
     )
     return {
         "n": n,
@@ -84,27 +87,16 @@ def measure(n: int, columns: int, calls: int) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--sizes", type=int, nargs="+", default=list(SIZES),
-        help=f"tree sizes in nodes (default {' '.join(map(str, SIZES))})",
-    )
-    parser.add_argument(
-        "--calls", type=int, default=400, help="timed calls per cell (default 400)"
-    )
-    args = parser.parse_args(argv)
+def main() -> int:
     if csr._WORKERS < 2:
         print("this process may run on one CPU only: no blocks to time", file=sys.stderr)
         return 1
-    # Split every size, so the sweep also times the ones below the cut-off.
-    csr.PARALLEL_MIN_ENTRIES = 0
+    # Split every size in two, so the sweep also times the ones below
+    # the cut-off.
+    csr._WORKERS = 2
+    csr.PARALLEL_MIN_ENTRIES = 2
     csr._executor()
-    cells = [
-        measure(n, columns, args.calls)
-        for n in args.sizes
-        for columns in (1, 2)
-    ]
+    cells = [measure(n, columns) for n in SIZES for columns in (1, 2)]
     print(json.dumps({
         "host": f"{platform.machine()} {platform.system()}, {csr._WORKERS} CPUs, "
                 f"Python {platform.python_version()}, numpy {np.__version__}, "

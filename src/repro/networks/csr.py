@@ -61,7 +61,8 @@ adjacencies and a held round is built once.
 Parallel products: from its second product on, an adjacency with at
 least :data:`PARALLEL_MIN_ENTRIES` stored entries, on a process allowed
 two or more CPUs, splits ``A @ x`` into one contiguous row block per
-CPU, balanced by stored entries.  Each block runs scipy's own CSR
+CPU, balanced by stored entries (fewer blocks where a block would get
+less than half the constant's entries).  Each block runs scipy's own CSR
 kernel (the one ``matrix @ x`` calls, which releases the GIL) on its
 slice of ``indptr`` and writes a disjoint slice of one output; the
 calling thread runs the first block and a module-level thread pool the
@@ -123,16 +124,19 @@ LABEL_MAX_ENTRIES = 4096
 INT32_LIMIT = 2**31
 
 #: Reused adjacencies with at least this many stored entries split
-#: their products into row blocks on a thread pool; smaller ones stay
-#: serial.  The blocked product's dispatch (~25 us on a tiny matrix) is
-#: repaid from about 16k entries (x86_64, 2 vCPUs, scipy 1.17, random
+#: their products into row blocks on a thread pool, each block keeping
+#: at least half of it; smaller ones stay serial.  The blocked
+#: product's dispatch (~25 us on a tiny matrix) is repaid from about
+#: 16k entries in two blocks (x86_64, 2 vCPUs, scipy 1.17, random
 #: trees, reused adjacency: ``(N, 2)`` 74 us serial against 78 us
 #: blocked at 8,190 entries, 156 against 113 us at 16,382; ``(N,)`` 62
 #: against 73 us at 12,286 and about even at 16,382); see
-#: benchmarks/results/parallel-products-breakeven.json.
+#: benchmarks/results/parallel-products-breakeven.json.  Only two
+#: blocks were measured.
 PARALLEL_MIN_ENTRIES = 16_384
 
-#: CPUs this process may run on: the row blocks per parallel product.
+#: CPUs this process may run on (its affinity, not a cgroup quota): the
+#: most row blocks per parallel product.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -176,6 +180,10 @@ class CSRAdjacency:
         self.connected = connected
         self._degrees: np.ndarray | None = None
         # None before the first product, () after it, then the row cuts.
+        # The first product stays serial: flooding fresh 12,288-node
+        # trees (24,574 entries) read 11% slower with it split, in 9 of
+        # 10 pairs in each of two runs; see
+        # benchmarks/results/first-products.json.
         self._cuts: tuple[int, ...] | None = None
 
     @property
@@ -221,17 +229,17 @@ class CSRAdjacency:
 def _row_cuts(matrix: sp.csr_array) -> tuple[int, ...]:
     """Row cuts ``(0, ..., n)`` of one block per CPU, balanced by entries.
 
-    One block, ``(0, n)``, when the matrix is too small to repay the
-    split or the process may run on one CPU only.
+    Each block keeps at least ``PARALLEL_MIN_ENTRIES / 2`` entries, the
+    block size the constant was measured at, so a host allowed many
+    CPUs makes fewer, larger blocks.  One block, ``(0, n)``, when the
+    matrix is too small to repay the split or the process may run on
+    one CPU only.
     """
     n = int(matrix.shape[0])
-    if (
-        _WORKERS < 2
-        or matrix.nnz < PARALLEL_MIN_ENTRIES
-        or matrix.dtype != np.float64
-    ):
+    blocks = min(_WORKERS, 2 * matrix.nnz // PARALLEL_MIN_ENTRIES)
+    if blocks < 2 or matrix.dtype != np.float64:
         return (0, n)
-    targets = matrix.nnz * np.arange(1, _WORKERS) // _WORKERS
+    targets = matrix.nnz * np.arange(1, blocks) // blocks
     inner = np.searchsorted(matrix.indptr, targets).tolist()
     return tuple(dict.fromkeys([0, *inner, n]))
 

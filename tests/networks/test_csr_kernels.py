@@ -397,8 +397,8 @@ def held(n: int, seed: int) -> DynamicGraph:
 
 @pytest.fixture
 def split_everything(monkeypatch):
-    """Split every reused product into three blocks, whatever its size."""
-    monkeypatch.setattr(csr, "PARALLEL_MIN_ENTRIES", 0)
+    """Split every reused product into three blocks of one entry or more."""
+    monkeypatch.setattr(csr, "PARALLEL_MIN_ENTRIES", 2)
     monkeypatch.setattr(csr, "_WORKERS", 3)
 
 
@@ -457,9 +457,9 @@ class TestRowCuts:
     @pytest.mark.parametrize("workers", [2, 3, 5])
     def test_balanced_by_entries(self, monkeypatch, workers):
         monkeypatch.setattr(csr, "_WORKERS", workers)
-        matrix = random_matrix(400, 20_000, seed=1)
+        matrix = random_matrix(1000, 45_000, seed=1)
         cuts = csr._row_cuts(matrix)
-        assert cuts[0] == 0 and cuts[-1] == 400 and len(cuts) == workers + 1
+        assert cuts[0] == 0 and cuts[-1] == 1000 and len(cuts) == workers + 1
         assert list(cuts) == sorted(set(cuts))
         per_block = np.diff(matrix.indptr[list(cuts)])
         assert per_block.max() - per_block.min() <= 2 * np.diff(matrix.indptr).max()
@@ -472,6 +472,16 @@ class TestRowCuts:
         assert len(csr._row_cuts(large)) == 3
         monkeypatch.setattr(csr, "_WORKERS", 1)
         assert csr._row_cuts(large) == (0, 400)
+
+    @pytest.mark.parametrize("halves, blocks", [(2, 2), (3, 3), (7, 7), (70, 64)])
+    def test_blocks_keep_half_the_constant_on_many_cpus(self, monkeypatch, halves, blocks):
+        half = csr.PARALLEL_MIN_ENTRIES // 2
+        monkeypatch.setattr(csr, "_WORKERS", 64)
+        matrix = random_matrix(2000, halves * half + half - 1, seed=4)
+        cuts = csr._row_cuts(matrix)
+        assert len(cuts) == blocks + 1
+        per_block = np.diff(matrix.indptr[list(cuts)])
+        assert per_block.min() >= half - np.diff(matrix.indptr).max()
 
 
 class TestAdjacencyProducts:
