@@ -48,6 +48,14 @@ __all__ = [
 ]
 
 
+#: Columns of the known-ID matrix per sparse product.  The product
+#: takes a float64 copy and returns a float64 result, so a round's
+#: temporaries are two 8-byte cells per stacked node and block column,
+#: whatever the widest lane; lanes no wider than one block take a
+#: single product.
+ID_COLUMN_BLOCK = 128
+
+
 class IdFloodProcess(Process):
     """Flood the set of known identifiers; output after a fixed horizon.
 
@@ -80,9 +88,12 @@ class VectorizedIdFlood(VectorizedProtocol):
 
     Known-ID sets are rows of a boolean matrix ``K`` (stacked nodes by
     lane-local IDs); a round of pairwise set unions is
-    ``K |= A @ K > 0``.  Each lane commits every node's count at its own
-    horizon, so lanes with different horizons batch together (run under
-    ``stop_when="leader"`` with ``max_rounds = max(horizons) + 1``).
+    ``K |= A @ K > 0``, computed in blocks of :data:`ID_COLUMN_BLOCK`
+    columns (a column of ``A @ K`` reads only that column of ``K``, so
+    the blocks give the same bits as one product).  Each lane commits
+    every node's count at its own horizon, so lanes with different
+    horizons batch together (run under ``stop_when="leader"`` with
+    ``max_rounds = max(horizons) + 1``).
 
     Args:
         horizons: Per-lane output horizon (``>= 1`` each).
@@ -112,7 +123,9 @@ class VectorizedIdFlood(VectorizedProtocol):
         total = self.known.shape[0]
         sending = np.ones(total, dtype=bool)
         delivered = adjacency.degrees
-        self.known |= adjacency.matmul(self.known.astype(np.float64)) > 0.0
+        for lo in range(0, self.known.shape[1], ID_COLUMN_BLOCK):
+            block = self.known[:, lo : lo + ID_COLUMN_BLOCK]
+            block |= adjacency.matmul(block.astype(np.float64)) > 0.0
         for layout, horizon in zip(self._layouts, self._horizons):
             if round_no + 1 >= horizon and not self._mask[layout.offset]:
                 rows = slice(layout.offset, layout.stop)

@@ -69,8 +69,8 @@ calling thread runs the first block and a module-level thread pool the
 rest.  Every row is still summed by one thread in stored order, so the
 result is bit-identical to ``matrix @ x`` for any block count.  The
 first product stays serial, so a fresh round's one-shot adjacency never
-pays for the split.  A forked child forgets the parent's pool, whose
-threads it does not inherit.
+pays for the split.  A forked child forgets the parent's pools
+(:func:`thread_pool`), whose threads it does not inherit.
 
 Index dtype policy: every adjacency built here routes its CSR index
 arrays through :func:`index_dtype_for` -- ``int32`` while every index
@@ -106,6 +106,7 @@ __all__ = [
     "index_dtype_for",
     "lower_graph",
     "stack_adjacencies",
+    "thread_pool",
     "validate_edge_arrays",
     "validate_lane_edges",
 ]
@@ -296,31 +297,43 @@ def _block_product(
         )
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
+#: Thread pools made on first use, by name.  A forked child forgets
+#: them all: their threads are not there.
+_pools: dict[str, ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
+
+
+def thread_pool(name: str, workers: int) -> ThreadPoolExecutor:
+    """The process's pool ``name``, made with ``workers`` threads on first use.
+
+    Callers whose tasks may themselves submit to a pool need a pool of
+    their own: a task waiting on its own pool's only thread never ends.
+    """
+    pool = _pools.get(name)
+    if pool is None:
+        with _pools_lock:
+            pool = _pools.get(name)
+            if pool is None:
+                pool = _pools[name] = ThreadPoolExecutor(
+                    workers, thread_name_prefix=name
+                )
+    return pool
 
 
 def _executor() -> ThreadPoolExecutor:
     """The blocked products' thread pool, created on first use."""
-    global _pool
-    if _pool is None:
-        with _pool_lock:
-            if _pool is None:
-                _pool = ThreadPoolExecutor(
-                    max(_WORKERS - 1, 1), thread_name_prefix="csr-product"
-                )
-    return _pool
+    return thread_pool("csr-product", max(_WORKERS - 1, 1))
 
 
-def _forget_pool() -> None:
-    """Drop the parent's pool in a forked child: its threads are not there."""
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
+def _forget_pools() -> None:
+    """Drop the parent's pools in a forked child: their threads are not there."""
+    global _pools_lock
+    _pools.clear()
+    _pools_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_forget_pools)
 
 
 def lower_graph(graph: nx.Graph, *, n: int | None = None) -> CSRAdjacency:

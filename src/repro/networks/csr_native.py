@@ -192,6 +192,11 @@ class DynamicGraph:
             return round_no
         return self._round_key(round_no)
 
+    @property
+    def fresh_rounds(self) -> bool:
+        """Whether every round is drawn anew: no round key folds rounds."""
+        return self._round_key is None
+
     # -- the edge-array view ------------------------------------------
 
     def _round(self, round_no: int) -> list:

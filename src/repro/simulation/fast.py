@@ -14,6 +14,16 @@ path that compiles a round into array operations.
   only the last round's stack, under its tuple of lane round keys, so a
   held or static batch builds once and fresh-graph-per-round workloads
   hold O(1) adjacency memory.
+* A chunk whose lanes are all drawn fresh every round (no round key)
+  and average at least :data:`DRAW_AHEAD_MIN_LANE_NODES` nodes, on a
+  process allowed two or more CPUs, draws round ``r + 1``'s edges on a worker
+  thread while the engine builds, checks and steps round ``r``.  Only
+  the draw moves: the CSR build, the connectivity check and every
+  counter stay on the engine thread.  A provider's error surfaces when
+  its round is used, as without the draw ahead; a round drawn ahead but
+  never used (the batch stopped first) is dropped with its error, and
+  the run waits for it before returning, so no draw outlives a run.
+  Such a chunk holds one extra round's edge arrays.
 * Protocols whose per-round receive phase is an aggregation over the
   multiset of received values implement :class:`VectorizedProtocol`:
   state lives in NumPy arrays over a flat node axis and one ``step``
@@ -51,17 +61,21 @@ lanes -- would observe it.
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
+from concurrent.futures import Future, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 
+from repro.networks import csr
 from repro.networks.csr import (
     CSRAdjacency,
     csr_from_lane_edges,
     index_dtype_for,
+    thread_pool,
 )
 from repro.networks.csr_native import DynamicGraph
 from repro.obs import telemetry as telemetry_mod
@@ -98,6 +112,22 @@ def resolve_backend(backend: str) -> str:
             f"backend must be one of {BACKENDS}, got {backend!r}"
         )
     return backend
+
+
+#: Chunks whose lanes, every one drawn fresh each round, average at least
+#: this many nodes draw the next round's edges on a worker thread while
+#: the engine runs this one.  Below it the hand-off costs more than the
+#: overlap saves, and small lanes lose at any stack size: each lane's
+#: draw seeds its own generator, holding the GIL (x86_64, 2 vCPUs,
+#: flooding fresh random trees, drawn ahead against inline: one lane of
+#: 4,096 nodes 1.20x, 8,192 0.99x, 16,384 0.91x; 2 x 4,096 1.06x,
+#: 1,024 x 8 1.40x, 2 x 16,384 0.88x); see
+#: benchmarks/results/draw-ahead-breakeven.json.
+DRAW_AHEAD_MIN_LANE_NODES = 8192
+
+#: The draw-ahead pool's name: one thread, apart from the product pool,
+#: since a provider may itself run a blocked product there.
+_DRAW_POOL = "draw-ahead"
 
 
 # -- ambient lane budget -----------------------------------------------
@@ -344,8 +374,8 @@ class _LaneBlock:
     """One contiguous chunk of lanes, executed to completion.
 
     Owns the chunk-local layouts (rebased to offset 0), the lanes'
-    dynamic graphs, the last round's stacked adjacency, and the matvec
-    loop.
+    dynamic graphs, the last round's stacked adjacency, the next
+    round's edges while they are drawn ahead, and the matvec loop.
     The monolithic run is the one-block special case, so chunked and
     single-stack executions share every line of the hot loop.
     """
@@ -381,6 +411,10 @@ class _LaneBlock:
         self._sizes = [lane.n for lane in self.lanes]
         # The last round's (tuple of lane round keys, stacked adjacency).
         self._last: tuple[tuple, CSRAdjacency] | None = None
+        # Whether ``run`` draws ahead, and the future of the next
+        # round's lane edges while one is drawn.
+        self._draws_ahead = False
+        self._ahead: Future | None = None
 
     # -- adjacency ----------------------------------------------------
 
@@ -393,7 +427,7 @@ class _LaneBlock:
             counter("adjacency.stack_hits")
             return last[1]
         adjacency, connected = csr_from_lane_edges(
-            self._sizes, DynamicGraph.lane_edges(self.graphs, round_no)
+            self._sizes, self._lane_edges(round_no)
         )
         if self.config.require_connected and not connected.all():
             lane = int(np.flatnonzero(~connected)[0])
@@ -403,6 +437,45 @@ class _LaneBlock:
             )
         self._last = (key, adjacency)
         return adjacency
+
+    def _lane_edges(self, round_no: int) -> list:
+        """Every lane's edges for the round, from the draw made ahead if
+        there is one; then the next round's draw starts.
+
+        A draw made ahead is always of this round: ``run`` asks for
+        rounds in order and drops the last draw when it ends.
+        """
+        ahead, self._ahead = self._ahead, None
+        if ahead is None:
+            edges = DynamicGraph.lane_edges(self.graphs, round_no)
+        else:
+            edges = ahead.result()
+            counter("adjacency.rounds_drawn_ahead")
+        if self._draws_ahead and round_no + 1 < self.config.max_rounds:
+            self._ahead = thread_pool(_DRAW_POOL, 1).submit(
+                DynamicGraph.lane_edges, self.graphs, round_no + 1
+            )
+        return edges
+
+    def _drop_ahead(self) -> None:
+        """Drop the round drawn ahead, with its error: cancelled if it
+        has not started, waited for if it has."""
+        ahead, self._ahead = self._ahead, None
+        if ahead is not None and not ahead.cancel():
+            wait([ahead])
+
+    def _may_draw_ahead(self) -> bool:
+        """Whether a run of this chunk draws each next round ahead.
+
+        Never on the draw thread itself (a provider running an engine),
+        whose only thread would wait on its own task.
+        """
+        return (
+            self.total_nodes >= DRAW_AHEAD_MIN_LANE_NODES * len(self.lanes)
+            and csr._WORKERS >= 2
+            and all(graph.fresh_rounds for graph in self.graphs)
+            and not threading.current_thread().name.startswith(_DRAW_POOL)
+        )
 
     def edges_at(self, round_no: int) -> int:
         """Total edge count of the chunk's lanes at ``round_no``.
@@ -457,60 +530,65 @@ class _LaneBlock:
         records: dict[int, dict[str, int]] = {}
         rounds_executed = 0
         active_nodes = np.repeat(lane_active, sizes)
-        for round_no in range(config.max_rounds):
-            adjacency = self.adjacency(round_no)
-            sending, delivered = protocol.step(
-                round_no, adjacency, active_nodes
-            )
-            rounds_executed = round_no + 1
-            # Per-lane traffic, counted exactly like the object
-            # engine: only lanes still running execute the round.
-            sent_by_lane = np.add.reduceat(
-                sending, self._offsets[:-1], dtype=self._count_dtype
-            )
-            delivered_by_lane = np.add.reduceat(
-                delivered, self._offsets[:-1], dtype=self._acc_dtype
-            )
-            active_count = int(lane_active.sum())
-            round_sent = int(sent_by_lane[lane_active].sum())
-            round_delivered = int(delivered_by_lane[lane_active].sum())
-            stats["rounds"] += active_count
-            stats["graphs"] += active_count
-            stats["sent"] += round_sent
-            stats["delivered"] += round_delivered
-            mask = protocol.output_mask()
-            if telemetry is not None and telemetry.wants(round_no):
-                # Same post-round semantics as the object engine's
-                # record; traffic covers the lanes that executed
-                # the round, edges the whole stacked adjacency.
-                record = {
-                    "edges": adjacency.edges,
-                    "sent": round_sent,
-                    "delivered": round_delivered,
-                    "informed": int(
-                        np.count_nonzero(protocol.informed_mask())
-                    ),
-                    "terminated": int(np.count_nonzero(mask)),
-                    "lanes_active": active_count,
-                }
-                if stream:
-                    telemetry.emit(
-                        {
-                            "engine": "fast",
-                            "round": round_no,
-                            **record,
-                            "nodes": batch_nodes,
-                        }
-                    )
-                else:
-                    records[round_no] = record
-            newly_done = lane_active & self._lane_done(mask)
-            if newly_done.any():
-                rounds_done[newly_done] = round_no + 1
-                lane_active &= ~newly_done
-                if not lane_active.any():
-                    break
-                active_nodes = np.repeat(lane_active, sizes)
+        self._draws_ahead = self._may_draw_ahead()
+        try:
+            for round_no in range(config.max_rounds):
+                adjacency = self.adjacency(round_no)
+                sending, delivered = protocol.step(
+                    round_no, adjacency, active_nodes
+                )
+                rounds_executed = round_no + 1
+                # Per-lane traffic, counted exactly like the object
+                # engine: only lanes still running execute the round.
+                sent_by_lane = np.add.reduceat(
+                    sending, self._offsets[:-1], dtype=self._count_dtype
+                )
+                delivered_by_lane = np.add.reduceat(
+                    delivered, self._offsets[:-1], dtype=self._acc_dtype
+                )
+                active_count = int(lane_active.sum())
+                round_sent = int(sent_by_lane[lane_active].sum())
+                round_delivered = int(delivered_by_lane[lane_active].sum())
+                stats["rounds"] += active_count
+                stats["graphs"] += active_count
+                stats["sent"] += round_sent
+                stats["delivered"] += round_delivered
+                mask = protocol.output_mask()
+                if telemetry is not None and telemetry.wants(round_no):
+                    # Same post-round semantics as the object engine's
+                    # record; traffic covers the lanes that executed
+                    # the round, edges the whole stacked adjacency.
+                    record = {
+                        "edges": adjacency.edges,
+                        "sent": round_sent,
+                        "delivered": round_delivered,
+                        "informed": int(
+                            np.count_nonzero(protocol.informed_mask())
+                        ),
+                        "terminated": int(np.count_nonzero(mask)),
+                        "lanes_active": active_count,
+                    }
+                    if stream:
+                        telemetry.emit(
+                            {
+                                "engine": "fast",
+                                "round": round_no,
+                                **record,
+                                "nodes": batch_nodes,
+                            }
+                        )
+                    else:
+                        records[round_no] = record
+                newly_done = lane_active & self._lane_done(mask)
+                if newly_done.any():
+                    rounds_done[newly_done] = round_no + 1
+                    lane_active &= ~newly_done
+                    if not lane_active.any():
+                        break
+                    active_nodes = np.repeat(lane_active, sizes)
+        finally:
+            self._draws_ahead = False
+            self._drop_ahead()
         if config.stop_when == "budget":
             rounds_done[lane_active] = config.max_rounds
             lane_active[:] = False

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,14 @@ from repro.core.counting.gossip import (
 )
 from repro.core.counting.optimal import count_mdbl2, count_mdbl2_abstract
 from repro.core.counting.star import count_star
-from repro.core.counting.token_ids import count_with_ids
+from repro.core.counting import token_ids
+from repro.core.counting.token_ids import (
+    VectorizedIdFlood,
+    count_with_ids,
+    count_with_ids_batch,
+)
 from repro.core.lowerbound.bounds import corollary1_bound, rounds_to_count
+from repro.networks.csr import csr_from_lane_edges
 from repro.networks.generators.figures import paper_figure1
 from repro.networks.generators.pd import random_pd_network
 from repro.networks.generators.random_dynamic import RandomConnectedAdversary
@@ -163,6 +171,85 @@ class TestTokenIdsCounter:
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
             count_with_ids(star_network(3), 0)
+
+
+class TestIdColumnBlocks:
+    """``A @ K > 0`` in column blocks: the same bits, bounded temporaries."""
+
+    SIZES = (30, 9, 23)
+
+    @staticmethod
+    def _known_after(sizes, rounds, block, monkeypatch) -> np.ndarray:
+        monkeypatch.setattr(token_ids, "ID_COLUMN_BLOCK", block)
+        adversaries = [
+            RandomConnectedAdversary(n, seed=n, extra_edge_p=0.05) for n in sizes
+        ]
+        protocol = VectorizedIdFlood([rounds + 1] * len(sizes))
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        protocol.allocate(
+            [
+                LaneLayout(index, int(offsets[index]), n, int(offsets[index]))
+                for index, n in enumerate(sizes)
+            ]
+        )
+        active = np.ones(int(offsets[-1]), dtype=bool)
+        for round_no in range(rounds):
+            adjacency, _ = csr_from_lane_edges(
+                sizes, [adversary.edges(round_no) for adversary in adversaries]
+            )
+            protocol.step(round_no, adjacency, active)
+        return protocol.known
+
+    @pytest.mark.parametrize("block", [1, 7, 23])
+    def test_blocks_give_the_same_bits(self, monkeypatch, block):
+        whole = self._known_after(self.SIZES, 3, 2**30, monkeypatch)
+        blocked = self._known_after(self.SIZES, 3, block, monkeypatch)
+        assert blocked.dtype == whole.dtype == np.bool_
+        assert np.array_equal(blocked, whole)
+        assert 0 < whole.sum() < whole.size
+
+    def test_batch_counts_match(self, monkeypatch):
+        jobs = [
+            (RandomConnectedAdversary(n, seed=n).as_dynamic_graph(), n)
+            for n in self.SIZES
+        ]
+        outcomes = []
+        for block in (2**30, 4):
+            monkeypatch.setattr(token_ids, "ID_COLUMN_BLOCK", block)
+            outcomes.append(
+                [
+                    (outcome.count, outcome.rounds)
+                    for outcome in count_with_ids_batch(jobs)
+                ]
+            )
+        assert outcomes[0] == outcomes[1]
+        assert [count for count, _ in outcomes[0]] == list(self.SIZES)
+
+    def test_step_temporaries_are_bounded_by_the_block(self):
+        sizes = (500, 1500)
+        total, width = sum(sizes), max(sizes)
+        block = token_ids.ID_COLUMN_BLOCK
+        # A float64 copy and a float64 product per block, with room to
+        # spare; one whole-width product would take two of 24 MB each.
+        bound = 3 * 8 * total * block
+        assert bound < 2 * 8 * total * width // 4
+        adversaries = [RandomConnectedAdversary(n, seed=n) for n in sizes]
+        adjacency, _ = csr_from_lane_edges(
+            list(sizes), [adversary.edges(0) for adversary in adversaries]
+        )
+        protocol = VectorizedIdFlood([5, 5])
+        protocol.allocate(
+            [LaneLayout(0, 0, 500, 0), LaneLayout(1, 500, 1500, 500)]
+        )
+        active = np.ones(total, dtype=bool)
+        adjacency.degrees  # cached before the trace: not a temporary
+        tracemalloc.start()
+        try:
+            protocol.step(0, adjacency, active)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestGossip:

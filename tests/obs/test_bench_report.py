@@ -25,6 +25,7 @@ SIDED = (
     "fewer-knobs",
     "service-nodelay",
     "parallel-products",
+    "draw-ahead",
 )
 
 
@@ -79,7 +80,7 @@ def test_reproduces_committed_summaries(tmp_path):
                         name, workload, metric
                     )
                     pairs += 1
-    assert (triples, pairs) == (352, 164)
+    assert (triples, pairs) == (384, 180)
 
 
 def _run(wall_s: float, seed: int, *, workload: str = "flood-fresh", failed: float = 0.0):
