@@ -13,9 +13,8 @@ in :mod:`repro.networks.generators.random_dynamic`.)
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.states import all_label_sets
+from repro.networks.generators.streams import round_rng
 from repro.simulation.node import Process
 
 __all__ = ["RandomLabelAdversary"]
@@ -43,7 +42,7 @@ class RandomLabelAdversary:
     def label_sets(
         self, round_no: int, processes: list[Process] | None = None
     ) -> list[frozenset]:
-        rng = np.random.default_rng([self.seed, round_no])
+        rng = round_rng(self.seed, round_no)
         choices = all_label_sets(self._k)
         picks = rng.integers(len(choices), size=self.n)
         return [choices[int(pick)] for pick in picks]

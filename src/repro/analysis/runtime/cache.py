@@ -13,12 +13,30 @@ from pathlib import Path
 from typing import Any
 
 from repro.analysis.registry import ExperimentResult
+from repro.networks.generators.streams import TOPOLOGY_STREAM
 from repro.obs.logger import get_logger
 from repro.obs.metrics import counter
 
 _log = get_logger("analysis.runtime.cache")
 
-__all__ = ["ResultCache"]
+__all__ = ["ResultCache", "read_entry"]
+
+#: The cache-file field naming the topology stream a result was drawn
+#: from.  It lives only in the file: the result itself never carries it.
+STREAM_FIELD = "topology_stream"
+
+
+def read_entry(path: str | Path) -> ExperimentResult | None:
+    """The result a cache file holds, or ``None`` if the file is
+    unreadable, corrupt, or was written under another topology stream
+    (its seeded rounds would no longer match a fresh run's)."""
+    try:
+        payload = json.loads(Path(path).read_text())
+        if payload[STREAM_FIELD] != TOPOLOGY_STREAM:
+            return None
+        return ExperimentResult.from_dict(payload)
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
 
 
 class ResultCache:
@@ -28,7 +46,11 @@ class ResultCache:
     experiment id plus a digest of the sorted parameter items, so
     different parameterisations never collide and the cache directory
     stays human-navigable.  Corrupt or unreadable entries are treated
-    as misses, never raised.  Hits and misses increment the
+    as misses, never raised, and so are entries written under another
+    :data:`~repro.networks.generators.streams.TOPOLOGY_STREAM` (each
+    file records the stream its seeded topologies were drawn from, so
+    a change of stream invalidates every old entry at once without
+    changing a key).  Hits and misses increment the
     ``cache.hits`` / ``cache.misses`` counters on the current metrics
     registry.
     """
@@ -75,10 +97,8 @@ class ResultCache:
     ) -> ExperimentResult | None:
         """The cached result, or ``None`` on a miss."""
         path = self.path(experiment, params)
-        try:
-            payload = json.loads(path.read_text())
-            result = ExperimentResult.from_dict(payload)
-        except (OSError, ValueError, KeyError, TypeError):
+        result = read_entry(path)
+        if result is None:
             counter("cache.misses")
             return None
         counter("cache.hits")
@@ -95,8 +115,10 @@ class ResultCache:
     def store(
         self, result: ExperimentResult, params: dict[str, Any]
     ) -> Path:
-        """Persist ``result`` under its ``(experiment, params)`` key."""
+        """Persist ``result`` under its ``(experiment, params)`` key,
+        tagged with the current topology stream."""
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path(result.experiment, params)
-        path.write_text(json.dumps(result.to_dict(), indent=1) + "\n")
+        payload = {**result.to_dict(), STREAM_FIELD: TOPOLOGY_STREAM}
+        path.write_text(json.dumps(payload, indent=1) + "\n")
         return path

@@ -41,14 +41,12 @@ experiment); a worker that dies mid-task surfaces as a
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as connection_wait
-from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from repro.analysis.registry import (
@@ -59,7 +57,7 @@ from repro.analysis.registry import (
     run_experiment,
 )
 from repro.analysis.runtime import faults as faults_mod
-from repro.analysis.runtime.cache import ResultCache
+from repro.analysis.runtime.cache import ResultCache, read_entry
 from repro.analysis.runtime.errors import (
     RETRYABLE,
     SweepAborted,
@@ -570,11 +568,7 @@ def _resume_result(
         if result is not None:
             return result
     if entry.result_path is not None:
-        try:
-            payload = json.loads(Path(entry.result_path).read_text())
-            return ExperimentResult.from_dict(payload)
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
+        return read_entry(entry.result_path)
     return None
 
 

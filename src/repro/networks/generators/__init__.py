@@ -11,6 +11,8 @@
   adversaries: random connected graphs per round.
 * :mod:`repro.networks.generators.figures` -- the concrete worked
   examples drawn in the paper's figures.
+* :mod:`repro.networks.generators.streams` -- :func:`round_rng`, the
+  per-round random stream every seeded family draws from.
 """
 
 from repro.networks.generators.chains import chain_pd2_network
@@ -23,6 +25,7 @@ from repro.networks.generators.random_dynamic import (
     random_connected_graph,
 )
 from repro.networks.generators.stars import star_network
+from repro.networks.generators.streams import round_rng
 from repro.networks.generators.t_interval import t_interval_network
 
 __all__ = [
@@ -34,6 +37,7 @@ __all__ = [
     "random_connected_graph",
     "random_pd_network",
     "random_waypoint_network",
+    "round_rng",
     "star_network",
     "t_interval_network",
 ]

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.networks.csr import component_labels
 from repro.networks.csr_native import DynamicGraph
+from repro.networks.generators.streams import round_rng
 
 __all__ = ["RandomWaypointDynamicGraph", "random_waypoint_network"]
 
@@ -62,7 +63,7 @@ class RandomWaypointDynamicGraph:
 
     def _advance(self) -> None:
         self._round += 1
-        rng = np.random.default_rng([self.seed, self._round])
+        rng = round_rng(self.seed, self._round)
         if self._round == 0:
             self._current = rng.random((self.n, 2))
             return

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.networks.csr import component_labels
 from repro.networks.csr_native import DynamicGraph
+from repro.networks.generators.streams import round_rng
 
 __all__ = ["EdgeMarkovDynamicGraph", "edge_markov_network"]
 
@@ -94,7 +95,7 @@ class EdgeMarkovDynamicGraph:
         present[self._pair_index(a, b)] = True
 
     def _build_round(self, round_no: int) -> np.ndarray:
-        rng = np.random.default_rng([self.seed, round_no])
+        rng = round_rng(self.seed, round_no)
         m = self._pair_u.size
         if round_no == 0:
             present = rng.random(m) < self.initial_p

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.networks.csr_native import DynamicGraph
+from repro.networks.generators.streams import round_rng
 
 __all__ = ["random_pd_network"]
 
@@ -98,7 +99,7 @@ def random_pd_network(
     )
 
     def provider(round_no: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = np.random.default_rng([seed, round_no])
+        rng = round_rng(seed, round_no)
         parts_u: list[np.ndarray] = []
         parts_v: list[np.ndarray] = []
         for depth in range(1, len(layer_arrays)):

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.networks.csr import graph_from_edges, index_dtype_for
 from repro.networks.csr_native import DynamicGraph
+from repro.networks.generators.streams import round_rng
 
 __all__ = [
     "RandomConnectedAdversary",
@@ -194,7 +195,7 @@ class RandomConnectedAdversary:
 
     def edges(self, round_no: int) -> tuple[np.ndarray, np.ndarray]:
         """The round's edge arrays (pure function of ``(seed, round)``)."""
-        rng = np.random.default_rng([self.seed, round_no])
+        rng = round_rng(self.seed, round_no)
         return _connected_edges(
             self.n, rng, self._pair_template(), self.extra_edge_p
         )
@@ -233,7 +234,7 @@ class RandomConnectedAdversary:
         pick_dtype = index_dtype_for(pair_u.size)
         chosen = []
         for lane, adversary in enumerate(adversaries):
-            rng = np.random.default_rng([adversary.seed, round_no])
+            rng = round_rng(adversary.seed, round_no)
             # Shuffling arange(n) in place is what permutation(n) does.
             rng.shuffle(orders[lane])
             rng.random(out=tree_draws[lane])

@@ -28,6 +28,7 @@ from repro.networks.generators.random_dynamic import (
     bernoulli_pair_edges,
     random_tree_edges,
 )
+from repro.networks.generators.streams import round_rng
 
 __all__ = ["t_interval_network"]
 
@@ -64,8 +65,8 @@ def t_interval_network(
     def tree_for_block(block: int) -> tuple[np.ndarray, np.ndarray]:
         tree = trees.get(block)
         if tree is None:
-            # Seed streams: tag 0 = per-block trees, tag 1 = extras.
-            tree = random_tree_edges(n, np.random.default_rng([seed, 0, block]))
+            # Stream 0 = per-block trees, stream 1 = per-round extras.
+            tree = random_tree_edges(n, round_rng(seed, block, 0))
         return tree
 
     def provider(round_no: int) -> tuple[np.ndarray, np.ndarray]:
@@ -76,7 +77,7 @@ def t_interval_network(
         trees = {b: tree_for_block(b) for b in (block, block - 1) if b >= 0}
         parts = list(trees.values())
         extras = bernoulli_pair_edges(
-            n, np.random.default_rng([seed, 1, round_no]), extra_edge_p
+            n, round_rng(seed, round_no, 1), extra_edge_p
         )
         if extras[0].size:
             parts.append(extras)

@@ -461,7 +461,10 @@ class _LaneBlock:
         """Drop the round drawn ahead, with its error: cancelled if it
         has not started, waited for if it has."""
         ahead, self._ahead = self._ahead, None
-        if ahead is not None and not ahead.cancel():
+        if ahead is None:
+            return
+        counter("adjacency.rounds_dropped_ahead")
+        if not ahead.cancel():
             wait([ahead])
 
     def _may_draw_ahead(self) -> bool:

@@ -43,6 +43,7 @@ from repro.networks.generators.random_dynamic import (
     random_connected_edges,
     random_connected_graph,
 )
+from repro.networks.generators.streams import round_rng
 
 __all__ = [
     "COUNTING_KINDS",
@@ -317,7 +318,7 @@ def _arbitrary_network(
     """A CSR-native memoryless random family keyed by ``(seed, round)``."""
 
     def provider(round_no: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = np.random.default_rng([seed, round_no])
+        rng = round_rng(seed, round_no)
         return random_connected_edges(n, rng, extra_edge_p=extra_edge_p)
 
     return DynamicGraph(
@@ -331,7 +332,7 @@ def _explicit_prefix(
     return [
         random_connected_graph(
             n,
-            np.random.default_rng([seed, index]),
+            round_rng(seed, index),
             extra_edge_p=extra_edge_p,
         )
         for index in range(prefix)

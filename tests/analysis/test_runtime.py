@@ -8,6 +8,7 @@ deterministic fault-injection harness from
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 
@@ -25,8 +26,10 @@ from repro.analysis.runtime import (
     classify_error,
     run_sweep,
 )
+from repro.analysis.runtime.cache import STREAM_FIELD
 from repro.analysis.runtime.errors import FATAL, RETRYABLE
 from repro.analysis.runtime.runner import merge_snapshots_in_task_order
+from repro.networks.generators.streams import TOPOLOGY_STREAM
 from repro.obs.metrics import MetricsRegistry, counter, gauge, use_registry
 
 #: A sweep of three distinct tiny tasks (distinct params => distinct
@@ -448,6 +451,69 @@ class TestResumeSemantics:
             )
         assert outcome.passed and outcome.skipped == 0
         assert counters_of(registry)["experiments.run"] == 2
+
+
+def _rewrite_stream(path, stream) -> None:
+    """Rewrite a cache file as if written under ``stream`` (``None``:
+    before the files recorded one)."""
+    payload = json.loads(path.read_text())
+    del payload[STREAM_FIELD]
+    if stream is not None:
+        payload[STREAM_FIELD] = stream
+    path.write_text(json.dumps(payload))
+
+
+class TestTopologyStreamVersion:
+    """A cached result drawn under another topology stream is stale."""
+
+    PARAMS = {"sizes": (2, 5)}
+
+    def _stored(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        result = run_sweep(REQUESTS[1:2]).results[0]
+        return cache, result, cache.store(result, self.PARAMS)
+
+    def test_stream_is_in_the_file_not_the_result(self, tmp_path):
+        cache, result, path = self._stored(tmp_path)
+        assert json.loads(path.read_text())[STREAM_FIELD] == TOPOLOGY_STREAM
+        loaded = cache.load("tab-star-pd1", self.PARAMS)
+        assert STREAM_FIELD not in loaded.to_dict()
+        assert loaded.rows == result.rows
+
+    @pytest.mark.parametrize("stream", [None, TOPOLOGY_STREAM - 1])
+    def test_other_stream_is_a_miss(self, tmp_path, stream):
+        cache, _, path = self._stored(tmp_path)
+        _rewrite_stream(path, stream)
+        with use_registry(MetricsRegistry()) as registry:
+            assert cache.load("tab-star-pd1", self.PARAMS) is None
+        counters = counters_of(registry)
+        assert counters["cache.misses"] == 1
+        assert "cache.hits" not in counters
+
+    def test_resume_reruns_a_task_cached_under_another_stream(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        journal = Journal(tmp_path / "cache" / "journal.jsonl")
+        with pytest.raises(ValueError):
+            run_sweep(
+                REQUESTS,
+                cache=cache,
+                journal=journal,
+                policy=RetryPolicy(retries=0),
+                faults=FaultPlan(kind="fatal", at=2),
+            )
+        stored = sorted((tmp_path / "cache").glob("tab-star-pd1-*.json"))
+        assert len(stored) == 2
+        _rewrite_stream(stored[0], None)
+        with use_registry(MetricsRegistry()) as registry:
+            outcome = run_sweep(
+                REQUESTS, cache=cache, journal=journal, resume=True
+            )
+        assert outcome.passed and outcome.skipped == 1
+        assert counters_of(registry)["experiments.run"] == 2
+        assert all(
+            json.loads(path.read_text())[STREAM_FIELD] == TOPOLOGY_STREAM
+            for path in stored
+        )
 
 
 def _crash_on_three(value: int) -> int:

@@ -39,7 +39,7 @@ class TestFloodingDissemination:
         assert result.rounds <= 2
 
     def test_fused_lanes_finishing_in_different_rounds(self):
-        # One fast batch whose lanes stop in rounds 2, 4 and 5: a lane
+        # One fast batch whose lanes stop in rounds 2, 5 and 6: a lane
         # that has stopped sends nothing more, so each lane's message
         # total must equal its own object run.
         jobs = [
@@ -61,7 +61,7 @@ class TestFloodingDissemination:
             disseminate_by_flooding(network, assignment)
             for network, assignment in jobs
         ]
-        assert [result.rounds for result in expected] == [2, 4, 5]
+        assert [result.rounds for result in expected] == [2, 5, 6]
         assert disseminate_by_flooding_batch(jobs) == expected
 
     def test_empty_assignment_rejected(self):

@@ -77,8 +77,8 @@ class TestTInterval:
         real = t_interval.random_tree_edges
 
         def counting(n, rng):
-            # The tree's seed stream: [seed, 0, block].
-            draws.append(rng.bit_generator.seed_seq.entropy[2])
+            # The tree's stream: Philox counter [0, block, 0, 0].
+            draws.append(int(rng.bit_generator.state["state"]["counter"][1]))
             return real(n, rng)
 
         monkeypatch.setattr(t_interval, "random_tree_edges", counting)

@@ -26,6 +26,7 @@ SIDED = (
     "service-nodelay",
     "parallel-products",
     "draw-ahead",
+    "philox-rounds",
 )
 
 
@@ -80,7 +81,7 @@ def test_reproduces_committed_summaries(tmp_path):
                         name, workload, metric
                     )
                     pairs += 1
-    assert (triples, pairs) == (384, 180)
+    assert (triples, pairs) == (416, 196)
 
 
 def _run(wall_s: float, seed: int, *, workload: str = "flood-fresh", failed: float = 0.0):

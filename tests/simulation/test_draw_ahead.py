@@ -168,6 +168,42 @@ class TestSameRuns:
         assert registry.value("adjacency.native_builds") > 1
 
 
+def _draw_counters(invoke) -> tuple[int, int]:
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        invoke()
+    counters = registry.snapshot()["counters"]
+    return (
+        counters.get("adjacency.rounds_drawn_ahead", 0),
+        counters.get("adjacency.rounds_dropped_ahead", 0),
+    )
+
+
+class TestDroppedDraws:
+    def test_each_chunk_drops_its_last_draw(self, ahead):
+        # A lane per chunk: each chunk draws its round 0 inline, takes
+        # every later round from a draw made ahead, and throws away the
+        # draw of the round after its last.
+        graphs = [_fresh(30, seed, extra_edge_p=0.0) for seed in (1, 2)]
+        rounds = flood_times_batch([(graph, 0) for graph in graphs])
+        drawn, dropped = _draw_counters(
+            lambda: flood_times_batch(
+                [(graph, 0) for graph in graphs], max_lane_nodes=30
+            )
+        )
+        assert min(rounds) > 1
+        assert drawn == sum(rounds) - 2
+        assert dropped == 2
+
+    def test_a_run_to_its_budget_drops_nothing(self, ahead):
+        # The last budgeted round asks for no round after it.
+        specs = [(graph, graph.n) for graph in _fresh_lanes(5)[:2]]
+        drawn, dropped = _draw_counters(
+            lambda: gossip_size_estimates_batch(specs, 12, max_lane_nodes=16)
+        )
+        assert (drawn, dropped) == (2 * 11, 0)
+
+
 class _Refusing:
     """A fresh lane whose provider raises at one round."""
 
