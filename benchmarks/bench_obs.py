@@ -17,6 +17,7 @@ import networkx as nx
 from conftest import run_and_record
 
 from repro.core.counting.flooding import FloodProcess
+from repro.networks import DynamicGraph
 from repro.obs.logger import get_logger
 from repro.obs.metrics import MetricsRegistry, counter, use_registry
 from repro.obs.spans import span
@@ -27,7 +28,7 @@ def _flooded_run(n: int = 40, rounds: int = 30) -> int:
     processes = [FloodProcess(index == 0) for index in range(n)]
     engine = SynchronousEngine(
         processes,
-        lambda r: nx.cycle_graph(n),
+        DynamicGraph.from_graphs([nx.cycle_graph(n)], extend="hold"),
         leader=None,
         config=EngineConfig(max_rounds=rounds, stop_when="budget"),
     )

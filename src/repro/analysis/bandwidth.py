@@ -21,11 +21,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.networks.multigraph import DynamicMultigraph
-from repro.simulation.engine import (
-    EngineConfig,
-    SynchronousEngine,
-    TopologyProvider,
-)
+from repro.simulation.engine import EngineConfig, SynchronousEngine
 from repro.simulation.labeled import LabeledStarEngine
 from repro.simulation.node import Process
 
@@ -100,7 +96,7 @@ class _MeteredEngine(SynchronousEngine):
 
 def measure_engine_bandwidth(
     processes: Sequence[Process],
-    topology: TopologyProvider,
+    topology: Any,
     *,
     leader: int | None = 0,
     max_rounds: int = 64,

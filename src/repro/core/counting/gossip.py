@@ -21,15 +21,11 @@ under fair adversaries.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.simulation.engine import (
-    DegreeOracleEngine,
-    EngineConfig,
-    TopologyProvider,
-)
+from repro.simulation.engine import DegreeOracleEngine, EngineConfig
 from repro.simulation.fast import (
     FastEngine,
     FastLane,
@@ -164,7 +160,7 @@ class VectorizedPushSum(VectorizedProtocol):
 
 
 def gossip_size_estimates(
-    topology: TopologyProvider,
+    topology: Any,
     n: int,
     rounds: int,
     *,
@@ -174,7 +170,9 @@ def gossip_size_estimates(
     """Run push-sum for ``rounds`` rounds, returning the leader's estimates.
 
     Args:
-        topology: The (typically fair/random) adversary.
+        topology: The (typically fair/random) adversary: a
+            :class:`~repro.networks.DynamicGraph` or an object with an
+            ``as_dynamic_graph()`` method.
         n: Number of nodes.
         rounds: How many rounds to run.
         leader: Index of the weight-carrying node.
@@ -193,17 +191,17 @@ def gossip_size_estimates(
     processes = [PushSumProcess(index == leader) for index in range(n)]
     estimates: list[float] = []
 
-    class _Recorder:
-        """Wrap the topology to snapshot the estimate after each round."""
+    class _RecordingEngine(DegreeOracleEngine):
+        """Snapshot the leader's estimate after every round."""
 
-        def graph(self, round_no, procs):
+        def _before_send(self, round_no, graph):
             if round_no > 0:
                 estimates.append(processes[leader].estimate)
-            return topology.graph(round_no, procs)
+            super()._before_send(round_no, graph)
 
-    engine = DegreeOracleEngine(
+    engine = _RecordingEngine(
         processes,
-        _Recorder(),
+        topology,
         leader=leader,
         config=EngineConfig(max_rounds=rounds, stop_when="budget"),
     )
@@ -213,7 +211,7 @@ def gossip_size_estimates(
 
 
 def gossip_size_estimates_batch(
-    specs: Sequence[tuple[TopologyProvider, int]],
+    specs: Sequence[tuple[Any, int]],
     rounds: int,
     *,
     leader: int = 0,

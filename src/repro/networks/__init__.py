@@ -2,7 +2,7 @@
 
 * :mod:`repro.networks.csr_native` -- the :class:`DynamicGraph`
   abstraction (Definition 1: an infinite sequence of graphs over a fixed
-  node set), usable directly as an engine topology provider.  Its one
+  node set), the topology both engines run on.  Its one
   source of truth is a per-round edge-array provider; it serves both a
   ``networkx`` view (object engine, oracles) and a direct CSR view (fast
   backend), and :func:`precompile_schedule` compiles finite schedules

@@ -12,13 +12,17 @@ both views the engines consume are derived from those arrays --
   form in one call) and builds the whole batch's stack at once
   (:func:`repro.networks.csr.csr_from_lane_edges`); ``to_csr`` is the
   one-graph build (:func:`repro.networks.csr.csr_from_edges`);
-* the ``networkx`` view (:func:`repro.networks.csr.graph_from_edges`)
-  feeds the object engine and the verification oracles.
+* the ``networkx`` view (:meth:`DynamicGraph.at`, built straight from
+  the round's validated arrays) feeds the object engine and the
+  verification oracles.
 
-Because the two views are built from identical arrays through
-independent code paths, ``object == fast`` differential testing keeps
-its teeth, and :mod:`repro.verify` checks the equivalence as a model
-oracle (CSR-native lowering == networkx adjacency, every family).
+Both engines take a :class:`DynamicGraph` as their topology (or an
+adversary whose ``as_dynamic_graph()`` returns one), and every round's
+arrays are validated once, when they are drawn.  Because the two views
+are built from identical arrays through independent code paths,
+``object == fast`` differential testing keeps its teeth, and
+:mod:`repro.verify` checks the equivalence as a model oracle
+(CSR-native lowering == networkx adjacency, every family).
 
 Pieces:
 
@@ -50,7 +54,6 @@ import numpy as np
 from repro.networks.csr import (
     CSRAdjacency,
     csr_from_edges,
-    graph_from_edges,
     index_dtype_for,
     validate_edge_arrays,
     validate_lane_edges,
@@ -77,12 +80,12 @@ _EXTEND_RULES = ("hold", "cycle", "strict")
 class DynamicGraph:
     """An infinite sequence of graphs over the node set ``{0..n-1}``.
 
-    Directly usable as an engine topology provider: the object engine
-    uses the ``graph``/``at`` view (networkx graphs built lazily from
-    the arrays), the fast backend reads ``round_key`` and the edges
-    (through :meth:`lane_edges`) and builds validated CSR directly from
-    the arrays, no ``nx.Graph`` on
-    the hot path (``to_csr`` is the same build for one graph).
+    The topology of both engines: the object engine reads the
+    :meth:`at` view (networkx graphs built lazily from the arrays), the
+    fast backend reads ``round_key`` and the edges (through
+    :meth:`lane_edges`) and builds validated CSR directly from the
+    arrays, no ``nx.Graph`` on the hot path (``to_csr`` is the same
+    build for one graph).
 
     Args:
         n: Number of nodes; every edge endpoint must lie in ``{0..n-1}``.
@@ -285,26 +288,23 @@ class DynamicGraph:
     def at(self, round_no: int) -> nx.Graph:
         """The round's graph as ``networkx``, built from its edges.
 
-        Consecutive rounds with the same key (a static topology, a
-        ``hold`` extension) share one graph *object*, so the object
-        engine validates a held graph once.  Only the last round's
-        graph is kept: the edge provider is pure per round, so a round
-        read again later rebuilds bit-identically, and long
-        fresh-graph-per-round runs hold O(1) graph memory.  Treat the
-        returned graph as read-only.
+        The graph spans exactly ``{0..n-1}`` and is built from the
+        memo's arrays, which were validated when the round was drawn,
+        so nothing is checked twice.  Consecutive rounds with the same
+        key (a static topology, a ``hold`` extension) share one graph
+        *object*, so the object engine checks a held graph's
+        connectivity once.  Only the last round's graph is kept: the
+        edge provider is pure per round, so a round read again later
+        rebuilds bit-identically, and long fresh-graph-per-round runs
+        hold O(1) graph memory.  Treat the returned graph as read-only.
         """
         memo = self._round(round_no)
         if memo[2] is None:
-            memo[2] = graph_from_edges(self.n, *memo[1])
+            u, v = memo[1]
+            graph = memo[2] = nx.Graph()
+            graph.add_nodes_from(range(self.n))
+            graph.add_edges_from(zip(u.tolist(), v.tolist()))
         return memo[2]
-
-    def graph(self, round_no: int, processes: object = None) -> nx.Graph:
-        """Topology-provider interface for the simulation engine."""
-        return self.at(round_no)
-
-    def window(self, rounds: int) -> list[nx.Graph]:
-        """Return the graphs of rounds ``0..rounds-1``."""
-        return [self.at(round_no) for round_no in range(rounds)]
 
     def __repr__(self) -> str:
         return f"DynamicGraph(n={self.n}, name={self.name!r})"

@@ -160,10 +160,9 @@ def random_connected_graph(
 class RandomConnectedAdversary:
     """A fair adversary producing a fresh random connected graph per round.
 
-    Usable as an engine topology provider (``graph``), as an edge-array
-    provider (``edges``), and as a :class:`repro.networks.DynamicGraph`
-    factory (:meth:`as_dynamic_graph`), which is what the fast backend
-    runs a lane on.
+    Usable as an edge-array provider (``edges``) and as a
+    :class:`repro.networks.DynamicGraph` factory (:meth:`as_dynamic_graph`),
+    which is what both engines run on when handed the adversary.
     Rounds are keyed by ``(seed, round)`` so executions are reproducible
     and both backends see the identical graph sequence.  Adversaries
     with equal :attr:`batch_key` can draw a round together through
@@ -262,10 +261,6 @@ class RandomConnectedAdversary:
             u[lo:hi] = pair_u[picked]
             v[lo:hi] = pair_v[picked]
         return u, v, bounds
-
-    def graph(self, round_no: int, processes: object = None) -> nx.Graph:
-        """Topology-provider interface: the round's random graph."""
-        return graph_from_edges(self.n, *self.edges(round_no))
 
     def as_dynamic_graph(self) -> DynamicGraph:
         """This adversary as a CSR-native dynamic graph.

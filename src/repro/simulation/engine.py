@@ -6,17 +6,19 @@ paper: at each round ``r`` the adversary fixes a communication graph
 payload (send phase), and every process is then delivered the payloads
 of its ``G_r``-neighbours with no sender information (receive phase).
 
-The adversary is any object implementing :class:`TopologyProvider` --
-including an *omniscient* worst-case adversary, since the provider is
-handed the live process objects and may inspect their state before
-choosing the round's graph.
+The adversary is a :class:`~repro.networks.DynamicGraph` -- the same
+topology type the fast backend runs on -- or an object whose
+``as_dynamic_graph()`` returns one.  The engine does not hand the
+processes to its topology: every round's graph is fixed by the round
+number alone, which is how the paper's worst-case adversaries are
+written (as schedules, see docs/MODEL.md).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import networkx as nx
 
@@ -27,63 +29,56 @@ from repro.simulation.errors import (
     ProtocolViolationError,
     TerminationError,
     TopologyError,
-    sorted_labels,
 )
 from repro.simulation.messages import Inbox, canonical_sort_key
 from repro.simulation.node import Process
 from repro.simulation.trace import RoundRecord, SimulationTrace, TraceLevel
 
+if TYPE_CHECKING:
+    from repro.networks.csr_native import DynamicGraph
+
 _log = get_logger("simulation.engine")
 
 __all__ = [
-    "TopologyProvider",
     "EngineConfig",
     "SimulationResult",
     "SynchronousEngine",
     "DegreeOracleEngine",
-    "as_topology_provider",
+    "network_of",
 ]
 
 
-@runtime_checkable
-class TopologyProvider(Protocol):
-    """The adversary interface: produce the communication graph per round.
+def network_of(
+    topology: Any, n: int, *, label: str = "topology"
+) -> DynamicGraph:
+    """``topology`` as a :class:`DynamicGraph` over exactly ``n`` nodes.
 
-    The provider receives the live process objects, so a worst-case
-    adversary may base its choice on the processes' internal state (the
-    model's adversary is omniscient).  The returned graph must have node
-    set ``{0, ..., n-1}`` where ``n = len(processes)``.
+    The one coercion both engines run, once per topology: a
+    :class:`DynamicGraph` is used as is, and any other object must have
+    an ``as_dynamic_graph()`` method returning one (e.g.
+    :class:`~repro.networks.generators.RandomConnectedAdversary`).
+
+    Raises:
+        TypeError: ``topology`` is neither.
+        TopologyError: The graph's node count is not ``n``; ``label``
+            names the topology in the message.
     """
+    # Imported here: repro.networks imports this package's errors.
+    from repro.networks import csr_native
 
-    def graph(self, round_no: int, processes: Sequence[Process]) -> nx.Graph:
-        """Return the communication graph for ``round_no``."""
-        ...
-
-
-class _CallableTopology:
-    """Adapt a plain ``f(round_no) -> nx.Graph`` callable to the protocol."""
-
-    def __init__(self, fn: Callable[[int], nx.Graph]) -> None:
-        self._fn = fn
-
-    def graph(self, round_no: int, processes: Sequence[Process]) -> nx.Graph:
-        return self._fn(round_no)
-
-
-def as_topology_provider(
-    topology: TopologyProvider | Callable[[int], nx.Graph],
-) -> TopologyProvider:
-    """Coerce ``topology`` to a :class:`TopologyProvider`.
-
-    Accepts either an object with a ``graph(round_no, processes)`` method
-    (e.g. any adversary, or :class:`repro.networks.DynamicGraph`) or a
-    plain callable mapping a round number to a graph.
-    """
-    if isinstance(topology, TopologyProvider):
-        return topology
-    if callable(topology):
-        return _CallableTopology(topology)
-    raise TypeError(f"cannot interpret {topology!r} as a topology provider")
+    to_graph = getattr(topology, "as_dynamic_graph", None)
+    network = topology if to_graph is None else to_graph()
+    if not isinstance(network, csr_native.DynamicGraph):
+        raise TypeError(
+            f"cannot run on {topology!r}: need a DynamicGraph or an "
+            "object with an as_dynamic_graph() method"
+        )
+    if network.n != n:
+        raise TopologyError(
+            f"{label} has {network.n} nodes, expected {n}: its nodes "
+            f"do not match process indices 0..{n - 1}"
+        )
+    return network
 
 
 @dataclass(frozen=True)
@@ -100,9 +95,9 @@ class EngineConfig:
         require_connected: Verify that every round's graph is connected
             (the 1-interval connectivity assumption).  Enabled by default
             because every model in the paper assumes it.  The engine
-            remembers the last graph object it validated, so a provider
-            that serves the same graph for consecutive rounds (a held
-            topology) has it checked once.
+            remembers the last graph object it checked, and a dynamic
+            graph serves one object for consecutive rounds with one
+            round key (a held topology), so such rounds are checked once.
         validate_payloads: Debug flag: verify every broadcast payload is
             hashable during the send phase.  Off by default -- the check
             runs ``hash(payload)`` for every process every round, which
@@ -156,7 +151,9 @@ class SynchronousEngine:
     Args:
         processes: The process objects, indexed ``0..n-1``.  Indices are
             engine bookkeeping only and are never revealed to processes.
-        topology: The adversary (see :func:`as_topology_provider`).
+        topology: The adversary: a :class:`DynamicGraph` over
+            ``len(processes)`` nodes, or an object whose
+            ``as_dynamic_graph()`` returns one (see :func:`network_of`).
         leader: Index of the leader process, used for the ``"leader"``
             stop criterion and for ``leader_output`` reporting.  May be
             ``None`` for leaderless protocols.
@@ -165,11 +162,11 @@ class SynchronousEngine:
     Example:
         >>> from repro.simulation import SynchronousEngine, EngineConfig
         >>> from repro.core.counting.star import make_star_processes
+        >>> from repro.networks import DynamicGraph
         >>> import networkx as nx
         >>> processes, leader = make_star_processes(5)
-        >>> engine = SynchronousEngine(
-        ...     processes, lambda r: nx.star_graph(4), leader=leader
-        ... )
+        >>> star = DynamicGraph.from_graphs([nx.star_graph(4)], extend="hold")
+        >>> engine = SynchronousEngine(processes, star, leader=leader)
         >>> engine.run().leader_output
         5
     """
@@ -177,7 +174,7 @@ class SynchronousEngine:
     def __init__(
         self,
         processes: Sequence[Process],
-        topology: TopologyProvider | Callable[[int], nx.Graph],
+        topology: Any,
         *,
         leader: int | None = 0,
         config: EngineConfig | None = None,
@@ -185,16 +182,16 @@ class SynchronousEngine:
         if not processes:
             raise ValueError("need at least one process")
         self.processes: list[Process] = list(processes)
-        self.topology = as_topology_provider(topology)
+        self.network = network_of(topology, len(self.processes))
         self.leader = leader
         self.config = config or EngineConfig()
         if leader is not None and not 0 <= leader < len(self.processes):
             raise ValueError(f"leader index {leader} out of range")
         if self.config.stop_when == "leader" and leader is None:
             raise ValueError("stop_when='leader' requires a leader index")
-        # Validation memo: the last graph object checked.  A held graph
-        # (the same object again next round) is validated once; mutating
-        # a served graph between rounds is unsupported.
+        # Connectivity memo: the last graph object checked.  A held graph
+        # (the same object again next round) is checked once; mutating a
+        # served graph between rounds is unsupported.
         self._last_validated: nx.Graph | None = None
         # Round telemetry config, captured once per run(); None when
         # disabled, so the per-round guard is one attribute check.
@@ -211,7 +208,6 @@ class SynchronousEngine:
         config = self.config
         trace = SimulationTrace(level=config.trace_level)
         n = len(self.processes)
-        expected_nodes = set(range(n))
 
         counter("engine.runs")
         self._telemetry = telemetry_mod.active()
@@ -227,7 +223,7 @@ class SynchronousEngine:
             )
         rounds_executed = 0
         for round_no in range(config.max_rounds):
-            graph = self._validated_graph(round_no, expected_nodes)
+            graph = self._validated_graph(round_no)
             self._execute_round(round_no, graph, trace)
             rounds_executed = round_no + 1
             if self._stop_criterion_met():
@@ -249,28 +245,17 @@ class SynchronousEngine:
                 extra={"rounds": rounds, "terminated": terminated},
             )
 
-    def _validated_graph(self, round_no: int, expected_nodes: set[int]) -> nx.Graph:
-        graph = self.topology.graph(round_no, self.processes)
+    def _validated_graph(self, round_no: int) -> nx.Graph:
+        # ``at`` serves a graph on exactly the nodes 0..n-1 with no
+        # self-loops (its edge arrays are validated when drawn), so only
+        # connectivity is left to check, once per graph object.
+        graph = self.network.at(round_no)
         counter("engine.graphs")
         if graph is self._last_validated:
             return graph
-        if set(graph.nodes) != expected_nodes:
-            raise TopologyError(
-                f"round {round_no}: graph nodes "
-                f"{sorted_labels(graph.nodes)[:10]}... "
-                f"do not match process indices 0..{len(expected_nodes) - 1}"
-            )
-        # A self-loop would deliver a node its own broadcast -- outside
-        # the paper's model, where neighbourhoods never include self.
-        loops = [node for node, _ in nx.selfloop_edges(graph)]
-        if loops:
-            raise TopologyError(
-                f"round {round_no}: self-loop at node(s) {sorted(loops)[:10]}; "
-                "a process is never its own neighbour"
-            )
         if (
             self.config.require_connected
-            and len(expected_nodes) > 1
+            and self.network.n > 1
             and not nx.is_connected(graph)
         ):
             raise TopologyError(

@@ -82,7 +82,7 @@ from repro.obs import telemetry as telemetry_mod
 from repro.obs.logger import get_logger
 from repro.obs.metrics import counter
 from repro.obs.spans import span
-from repro.simulation.engine import EngineConfig, SimulationResult
+from repro.simulation.engine import EngineConfig, SimulationResult, network_of
 from repro.simulation.errors import TerminationError, TopologyError
 from repro.simulation.trace import SimulationTrace, TraceLevel
 
@@ -359,17 +359,6 @@ _TELEMETRY_KEYS = (
 )
 
 
-def _lane_graph(index: int, lane: FastLane) -> DynamicGraph:
-    """The lane's :class:`~repro.networks.DynamicGraph`, size-checked."""
-    to_graph = getattr(lane.topology, "as_dynamic_graph", None)
-    graph = lane.topology if to_graph is None else to_graph()
-    if graph.n != lane.n:
-        raise TopologyError(
-            f"lane {index} topology has {graph.n} nodes, expected {lane.n}"
-        )
-    return graph
-
-
 class _LaneBlock:
     """One contiguous chunk of lanes, executed to completion.
 
@@ -406,7 +395,8 @@ class _LaneBlock:
                 dtype=self._offsets.dtype,
             )
         self.graphs = [
-            _lane_graph(index, lane) for index, lane in enumerate(self.lanes)
+            network_of(lane.topology, lane.n, label=f"lane {index} topology")
+            for index, lane in enumerate(self.lanes)
         ]
         self._sizes = [lane.n for lane in self.lanes]
         # The last round's (tuple of lane round keys, stacked adjacency).

@@ -38,9 +38,11 @@ class LabelSetProvider(Protocol):
     leader in this round.  Each set must be a non-empty subset of
     ``{1, ..., k}`` -- the defining constraint of ``M(DBL)_k``.
 
-    Like :class:`repro.simulation.engine.TopologyProvider`, the provider
-    sees the live process objects, so worst-case omniscient adversaries
-    are expressible.
+    The provider sees the live process objects, so worst-case
+    omniscient adversaries are expressible here.  (The graph engine,
+    :class:`repro.simulation.engine.SynchronousEngine`, no longer hands
+    processes to its topology: it reads a round-indexed
+    :class:`repro.networks.DynamicGraph`.)
     """
 
     @property

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.networks.csr_native import DynamicGraph
+from repro.simulation.engine import network_of
 from repro.simulation.errors import ModelError, TopologyError
 
 
@@ -56,12 +57,10 @@ class TestDynamicGraph:
             graph.at(-1)
 
     def test_topology_provider_interface(self):
+        """Both engines take a dynamic graph as it is."""
         graph = DynamicGraph.from_graphs([path(3)])
-        assert graph.graph(0, None).number_of_nodes() == 3
-
-    def test_window(self):
-        graph = DynamicGraph.from_graphs([path(2)])
-        assert len(graph.window(4)) == 4
+        assert network_of(graph, 3) is graph
+        assert graph.at(0).number_of_nodes() == 3
 
     def test_needs_positive_n(self):
         with pytest.raises(ValueError):

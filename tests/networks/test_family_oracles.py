@@ -17,14 +17,13 @@ import pytest
 
 from repro.adversaries.worst_case import max_ambiguity_multigraph
 from repro.core.counting.gossip import gossip_size_estimates
-from repro.networks import DynamicMultigraph, mdbl_to_pd2
+from repro.networks import DynamicGraph, DynamicMultigraph, mdbl_to_pd2
 from repro.networks.generators.chains import chain_pd2_network
 from repro.networks.generators.geometric import (
     RandomWaypointDynamicGraph,
     random_waypoint_network,
 )
 from repro.networks.generators.stars import star_network
-from repro.simulation.engine import as_topology_provider
 
 ROUNDS = 12
 
@@ -188,8 +187,13 @@ def test_same_edges_and_neighbour_order(case):
 def test_object_engine_push_sum_is_bit_identical(case):
     build, oracle_of = CASES[case]
     network = build()
+    oracle = oracle_of()
     estimates = gossip_size_estimates(network, network.n, ROUNDS)
     expected = gossip_size_estimates(
-        as_topology_provider(oracle_of()), network.n, ROUNDS
+        DynamicGraph.from_graphs(
+            [oracle(round_no) for round_no in range(ROUNDS)], extend="strict"
+        ),
+        network.n,
+        ROUNDS,
     )
     assert estimates == expected

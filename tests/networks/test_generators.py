@@ -172,16 +172,14 @@ class TestRandomDynamic:
         assert dense.number_of_edges() > sparse.number_of_edges()
 
     def test_adversary_reproducible_per_round(self):
-        adversary = RandomConnectedAdversary(8, seed=3)
-        assert set(adversary.graph(5, None).edges()) == set(
-            adversary.graph(5, None).edges()
-        )
+        graph = RandomConnectedAdversary(8, seed=3).as_dynamic_graph()
+        first = set(graph.at(5).edges())
+        graph.at(6)  # the one-round memo now holds another round
+        assert set(graph.at(5).edges()) == first
 
     def test_adversary_changes_over_rounds(self):
-        adversary = RandomConnectedAdversary(10, seed=3)
-        assert set(adversary.graph(0, None).edges()) != set(
-            adversary.graph(1, None).edges()
-        )
+        graph = RandomConnectedAdversary(10, seed=3).as_dynamic_graph()
+        assert set(graph.at(0).edges()) != set(graph.at(1).edges())
 
     def test_as_dynamic_graph(self):
         graph = RandomConnectedAdversary(6, seed=1).as_dynamic_graph()

@@ -9,6 +9,7 @@ import networkx as nx
 import pytest
 
 from repro.core.counting.star import make_star_processes
+from repro.networks import DynamicGraph
 from repro.obs.logger import (
     configure_logging,
     get_logger,
@@ -77,7 +78,7 @@ def _run_star(trace_level: TraceLevel, n: int = 4):
     processes, leader = make_star_processes(n)
     engine = SynchronousEngine(
         processes,
-        lambda r: nx.star_graph(n - 1),
+        DynamicGraph.from_graphs([nx.star_graph(n - 1)], extend="hold"),
         leader=leader,
         config=EngineConfig(trace_level=trace_level),
     )

@@ -8,13 +8,15 @@ import weakref
 import networkx as nx
 import pytest
 
+from repro.core.counting.flooding import FloodProcess
+from repro.core.counting.star import make_star_processes
 from repro.networks.csr import lower_graph
 from repro.networks.csr_native import DynamicGraph
+from repro.networks.generators import RandomConnectedAdversary, star_network
 from repro.simulation.engine import (
     DegreeOracleEngine,
     EngineConfig,
     SynchronousEngine,
-    as_topology_provider,
 )
 from repro.simulation.errors import (
     ModelError,
@@ -56,8 +58,13 @@ class CountdownProcess(Process):
             self._output = "done"
 
 
+def held(graph):
+    """``graph`` at every round."""
+    return DynamicGraph.from_graphs([graph], extend="hold")
+
+
 def ring(n):
-    return lambda round_no: nx.cycle_graph(n)
+    return held(nx.cycle_graph(n))
 
 
 class TestEngineBasics:
@@ -102,7 +109,7 @@ class TestEngineBasics:
         processes = [Silent(), Silent()]
         engine = SynchronousEngine(
             processes,
-            lambda r: nx.path_graph(2),
+            held(nx.path_graph(2)),
             leader=None,
             config=EngineConfig(max_rounds=1, stop_when="budget"),
         )
@@ -112,7 +119,7 @@ class TestEngineBasics:
     def test_stop_when_leader(self):
         processes = [CountdownProcess(3), CountdownProcess(100)]
         engine = SynchronousEngine(
-            processes, lambda r: nx.path_graph(2), leader=0
+            processes, held(nx.path_graph(2)), leader=0
         )
         result = engine.run()
         assert result.rounds == 3
@@ -123,7 +130,7 @@ class TestEngineBasics:
         processes = [CountdownProcess(2), CountdownProcess(5)]
         engine = SynchronousEngine(
             processes,
-            lambda r: nx.path_graph(2),
+            held(nx.path_graph(2)),
             leader=None,
             config=EngineConfig(stop_when="all"),
         )
@@ -133,7 +140,7 @@ class TestEngineBasics:
         processes = [CountdownProcess(2), CountdownProcess(5)]
         engine = SynchronousEngine(
             processes,
-            lambda r: nx.path_graph(2),
+            held(nx.path_graph(2)),
             leader=None,
             config=EngineConfig(stop_when="any"),
         )
@@ -143,7 +150,7 @@ class TestEngineBasics:
         processes = [CountdownProcess(1), CountdownProcess(1)]
         engine = SynchronousEngine(
             processes,
-            lambda r: nx.path_graph(2),
+            held(nx.path_graph(2)),
             leader=None,
             config=EngineConfig(max_rounds=7, stop_when="budget"),
         )
@@ -155,7 +162,7 @@ class TestEngineBasics:
         processes = [CountdownProcess(100), CountdownProcess(100)]
         engine = SynchronousEngine(
             processes,
-            lambda r: nx.path_graph(2),
+            held(nx.path_graph(2)),
             leader=0,
             config=EngineConfig(max_rounds=3),
         )
@@ -166,7 +173,7 @@ class TestEngineBasics:
         processes = [CountdownProcess(1), CountdownProcess(2)]
         engine = SynchronousEngine(
             processes,
-            lambda r: nx.path_graph(2),
+            held(nx.path_graph(2)),
             leader=None,
             config=EngineConfig(stop_when="all"),
         )
@@ -177,32 +184,34 @@ class TestEngineBasics:
 class TestEngineValidation:
     def test_rejects_empty_process_list(self):
         with pytest.raises(ValueError, match="at least one process"):
-            SynchronousEngine([], ring(0))
+            SynchronousEngine([], held(nx.path_graph(1)))
 
     def test_rejects_bad_leader_index(self):
         with pytest.raises(ValueError, match="leader index"):
-            SynchronousEngine([EchoProcess()], ring(1), leader=5)
+            SynchronousEngine([EchoProcess()], held(nx.path_graph(1)), leader=5)
 
     def test_leader_stop_requires_leader(self):
         with pytest.raises(ValueError, match="requires a leader"):
-            SynchronousEngine([EchoProcess()], ring(1), leader=None)
+            SynchronousEngine(
+                [EchoProcess()], held(nx.path_graph(1)), leader=None
+            )
 
     def test_wrong_node_set_raises(self):
-        engine = SynchronousEngine(
-            [EchoProcess(), EchoProcess()],
-            lambda r: nx.path_graph(3),
-            leader=None,
-            config=EngineConfig(stop_when="budget", max_rounds=1),
-        )
-        with pytest.raises(TopologyError, match="do not match"):
-            engine.run()
+        """The node count is checked once, when the engine is built."""
+        with pytest.raises(TopologyError, match="do not match process indices"):
+            SynchronousEngine(
+                [EchoProcess(), EchoProcess()],
+                held(nx.path_graph(3)),
+                leader=None,
+                config=EngineConfig(stop_when="budget", max_rounds=1),
+            )
 
     def test_disconnected_graph_raises(self):
         graph = nx.Graph()
         graph.add_nodes_from(range(2))
         engine = SynchronousEngine(
             [EchoProcess(), EchoProcess()],
-            lambda r: graph,
+            held(graph),
             leader=None,
             config=EngineConfig(stop_when="budget", max_rounds=1),
         )
@@ -210,12 +219,15 @@ class TestEngineValidation:
             engine.run()
 
     def test_self_loop_raises(self):
-        """Regression: a self-loop delivered a node its own broadcast."""
+        """Regression: a self-loop delivered a node its own broadcast.
+
+        The dynamic graph refuses the round's edge arrays when they are
+        drawn, before the engine delivers anything."""
         graph = nx.path_graph(2)
         graph.add_edge(1, 1)
         engine = SynchronousEngine(
             [EchoProcess(), EchoProcess()],
-            lambda r: graph,
+            held(graph),
             leader=None,
             config=EngineConfig(stop_when="budget", max_rounds=1),
         )
@@ -227,7 +239,7 @@ class TestEngineValidation:
         graph.add_edge(0, 0)
         engine = SynchronousEngine(
             [EchoProcess(), EchoProcess(), EchoProcess()],
-            lambda r: graph,
+            held(graph),
             leader=None,
             config=EngineConfig(
                 stop_when="budget", max_rounds=1, require_connected=False
@@ -240,7 +252,7 @@ class TestEngineValidation:
         processes = [EchoProcess(f"p{i}") for i in range(2)]
         engine = SynchronousEngine(
             processes,
-            lambda r: nx.path_graph(2),
+            held(nx.path_graph(2)),
             leader=None,
             config=EngineConfig(stop_when="budget", max_rounds=1),
         )
@@ -254,7 +266,7 @@ class TestEngineValidation:
         graph.add_nodes_from(range(2))
         engine = SynchronousEngine(
             [EchoProcess(), EchoProcess()],
-            lambda r: graph,
+            held(graph),
             leader=None,
             config=EngineConfig(
                 stop_when="budget", max_rounds=1, require_connected=False
@@ -272,7 +284,7 @@ class TestEngineValidation:
 
         engine = SynchronousEngine(
             [Bad(), Bad()],
-            lambda r: nx.path_graph(2),
+            held(nx.path_graph(2)),
             leader=None,
             config=EngineConfig(
                 stop_when="budget", max_rounds=1, validate_payloads=True
@@ -293,7 +305,7 @@ class TestEngineValidation:
 
         engine = SynchronousEngine(
             [Bad(), Bad()],
-            lambda r: nx.path_graph(2),
+            held(nx.path_graph(2)),
             leader=None,
             config=EngineConfig(stop_when="budget", max_rounds=1),
         )
@@ -312,7 +324,7 @@ class TestEngineValidation:
 
         engine = SynchronousEngine(
             [EchoProcess(), EchoProcess(), EchoProcess()],
-            lambda r: graph,
+            held(graph),
             leader=None,
             config=EngineConfig(stop_when="budget", max_rounds=5),
         )
@@ -330,25 +342,30 @@ class TestEngineValidation:
         """Distinct graph objects are each validated (no false hits)."""
         engine = SynchronousEngine(
             [EchoProcess(), EchoProcess()],
-            lambda r: nx.path_graph(2) if r % 2 == 0 else nx.Graph([(0, 1)]),
+            DynamicGraph.from_graphs(
+                [nx.path_graph(2), nx.Graph([(0, 1)])], extend="cycle"
+            ),
             leader=None,
             config=EngineConfig(stop_when="budget", max_rounds=4),
         )
         assert engine.run().rounds == 4
 
     def test_validated_graphs_are_not_kept(self):
-        """Only the last validated graph is held: a provider serving a
+        """Only the last validated graph is held: a topology serving a
         new graph every round leaves earlier rounds collectable."""
         refs = []
+        network = DynamicGraph(3, lambda round_no: ([0, 1], [1, 2]))
+        served = network.at
 
-        def provider(round_no):
-            graph = nx.path_graph(3)
+        def at(round_no):
+            graph = served(round_no)
             refs.append(weakref.ref(graph))
             return graph
 
+        network.at = at
         engine = SynchronousEngine(
             [EchoProcess(), EchoProcess(), EchoProcess()],
-            provider,
+            network,
             leader=None,
             config=EngineConfig(stop_when="budget", max_rounds=12),
         )
@@ -368,15 +385,6 @@ def _mixed_labels() -> nx.Graph:
     return nx.Graph([(0, 1), (1, "x"), ("x", 7)])
 
 
-def _engine_run(graph: nx.Graph) -> None:
-    SynchronousEngine(
-        [EchoProcess() for _ in range(graph.number_of_nodes())],
-        lambda r: graph,
-        leader=None,
-        config=EngineConfig(stop_when="budget", max_rounds=1),
-    ).run()
-
-
 @pytest.mark.parametrize(
     "check, error, match",
     [
@@ -391,53 +399,100 @@ def _engine_run(graph: nx.Graph) -> None:
             r"unexpected labels \[7, 'x'\]",
         ),
         (
-            lambda: _engine_run(_mixed_labels()),
-            TopologyError,
-            "do not match process indices",
+            lambda: SynchronousEngine(
+                [EchoProcess() for _ in range(4)],
+                DynamicGraph.from_graphs([_mixed_labels()]),
+                leader=None,
+            ),
+            ModelError,
+            r"unexpected labels \[7, 'x'\]",
         ),
     ],
     ids=["lower_graph", "from_graphs", "engine"],
 )
 def test_mixed_type_labels_raise_model_error(check, error, match):
     """Regression: sorting ``int`` and ``str`` labels for the message
-    raised ``TypeError`` instead of the model error."""
+    raised ``TypeError`` instead of the model error.  The engine never
+    sees node labels: it runs on a dynamic graph, which ``from_graphs``
+    refuses to build from such a graph."""
     with pytest.raises(error, match=match):
         check()
 
 
 class TestTopologyProviderCoercion:
-    def test_callable_is_wrapped(self):
-        provider = as_topology_provider(lambda r: nx.path_graph(2))
-        assert provider.graph(0, []).number_of_nodes() == 2
+    """What the engines accept as a topology (``network_of``)."""
+
+    def test_callable_is_rejected(self):
+        with pytest.raises(TypeError, match="as_dynamic_graph"):
+            SynchronousEngine(
+                [EchoProcess(), EchoProcess()], lambda round_no: nx.path_graph(2)
+            )
 
     def test_provider_object_passthrough(self):
-        class Provider:
-            def graph(self, round_no, processes):
-                return nx.path_graph(2)
+        network = held(nx.path_graph(2))
+        engine = SynchronousEngine([EchoProcess(), EchoProcess()], network)
+        assert engine.network is network
 
-        provider = Provider()
-        assert as_topology_provider(provider) is provider
+    def test_adversary_converts_once(self):
+        adversary = RandomConnectedAdversary(4, seed=1)
+        engine = SynchronousEngine([EchoProcess() for _ in range(4)], adversary)
+        assert engine.network is adversary.as_dynamic_graph()
 
     def test_rejects_non_topology(self):
         with pytest.raises(TypeError):
-            as_topology_provider(42)
+            SynchronousEngine([EchoProcess()], 42)
 
-    def test_adversary_sees_processes(self):
-        seen = []
 
-        class Omniscient:
-            def graph(self, round_no, processes):
-                seen.append(len(processes))
-                return nx.path_graph(2)
+class TestEachRoundCheckedOnce:
+    """The object engine reads validated rounds and adds one check."""
 
-        engine = SynchronousEngine(
-            [EchoProcess(), EchoProcess()],
-            Omniscient(),
+    ROUNDS = 9
+
+    def test_fresh_round_arrays_validated_once(self, monkeypatch):
+        from repro.networks import csr, csr_native
+
+        calls = 0
+        real = csr.validate_edge_arrays
+
+        def counting(n, u, v):
+            nonlocal calls
+            calls += 1
+            return real(n, u, v)
+
+        # Both bindings: the dynamic graph's and the CSR module's own.
+        monkeypatch.setattr(csr, "validate_edge_arrays", counting)
+        monkeypatch.setattr(csr_native, "validate_edge_arrays", counting)
+        network = RandomConnectedAdversary(16, seed=11).as_dynamic_graph()
+        processes = [FloodProcess(index == 0) for index in range(16)]
+        result = SynchronousEngine(
+            processes,
+            network,
             leader=None,
-            config=EngineConfig(stop_when="budget", max_rounds=2),
-        )
-        engine.run()
-        assert seen == [2, 2]
+            config=EngineConfig(max_rounds=self.ROUNDS, stop_when="budget"),
+        ).run()
+        assert result.rounds == self.ROUNDS
+        assert calls == self.ROUNDS
+
+    def test_held_star_connectivity_checked_once(self, monkeypatch):
+        import repro.simulation.engine as engine_mod
+
+        calls = 0
+        real = nx.is_connected
+
+        def counting(graph):
+            nonlocal calls
+            calls += 1
+            return real(graph)
+
+        monkeypatch.setattr(engine_mod.nx, "is_connected", counting)
+        processes, leader = make_star_processes(6)
+        SynchronousEngine(
+            processes,
+            star_network(6),
+            leader=None,
+            config=EngineConfig(max_rounds=self.ROUNDS, stop_when="budget"),
+        ).run()
+        assert calls == 1
 
 
 class TestTracing:
@@ -445,7 +500,7 @@ class TestTracing:
         processes = [EchoProcess(), EchoProcess()]
         engine = SynchronousEngine(
             processes,
-            lambda r: nx.path_graph(2),
+            held(nx.path_graph(2)),
             leader=None,
             config=EngineConfig(
                 stop_when="budget",
@@ -462,7 +517,7 @@ class TestTracing:
         processes = [EchoProcess("a"), EchoProcess("b")]
         engine = SynchronousEngine(
             processes,
-            lambda r: nx.path_graph(2),
+            held(nx.path_graph(2)),
             leader=None,
             config=EngineConfig(
                 stop_when="budget", max_rounds=1, trace_level=TraceLevel.FULL
@@ -475,7 +530,7 @@ class TestTracing:
     def test_no_trace_by_default(self):
         engine = SynchronousEngine(
             [EchoProcess(), EchoProcess()],
-            lambda r: nx.path_graph(2),
+            held(nx.path_graph(2)),
             leader=None,
             config=EngineConfig(stop_when="budget", max_rounds=2),
         )
@@ -498,7 +553,7 @@ class TestDegreeOracleEngine:
 
         engine = DegreeOracleEngine(
             [Observer(), Observer(), Observer()],
-            lambda r: nx.star_graph(2),
+            held(nx.star_graph(2)),
             leader=None,
             config=EngineConfig(stop_when="budget", max_rounds=1),
         )
@@ -509,7 +564,7 @@ class TestDegreeOracleEngine:
     def test_processes_without_hook_are_fine(self):
         engine = DegreeOracleEngine(
             [EchoProcess(), EchoProcess()],
-            lambda r: nx.path_graph(2),
+            held(nx.path_graph(2)),
             leader=None,
             config=EngineConfig(stop_when="budget", max_rounds=1),
         )
@@ -531,7 +586,7 @@ class TestDegreeOracleEngine:
 
         engine = DegreeOracleEngine(
             [Observer(), EchoProcess()],
-            lambda r: nx.path_graph(2),
+            held(nx.path_graph(2)),
             leader=None,
             config=EngineConfig(stop_when="budget", max_rounds=3),
         )

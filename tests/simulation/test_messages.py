@@ -9,6 +9,7 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.networks import DynamicGraph
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.simulation.engine import EngineConfig, SynchronousEngine
 from repro.simulation.messages import (
@@ -102,14 +103,17 @@ class TestEngineBuiltInbox:
         # identity check below sees their order.
         sent = [pickle.loads(pickle.dumps(pool[i % len(pool)])) for i in picks]
         n = len(sent)
-        graph = nx.complete_graph(n)
-        graph.remove_edges_from(cut)
+        complete = nx.complete_graph(n)
+        complete.remove_edges_from(cut)
+        network = DynamicGraph.from_graphs([complete], extend="hold")
+        # The engine's own graph: its neighbour order breaks key ties.
+        graph = network.at(0)
         processes = [Broadcaster(payload) for payload in sent]
         registry = MetricsRegistry()
         with use_registry(registry):
             SynchronousEngine(
                 processes,
-                lambda round_no: graph,
+                network,
                 leader=None,
                 config=EngineConfig(
                     max_rounds=1, stop_when="budget", require_connected=False
