@@ -14,11 +14,13 @@ test:
 SMOKE_EXPERIMENTS = --experiment tab-star-pd1 --experiment tab-kernel-structure \
 	--experiment fig1-pd2-example --experiment fig2-transformation
 
-# Tier-1 gate: lint, the full test suite, then the CLI smoke runs.
+# Tier-1 gate: lint, the full test suite, the docstring examples in
+# src/, then the CLI smoke runs.
 check:
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests benchmarks; \
 	else echo "ruff not installed; skipping lint"; fi
 	$(PYTHON) -m pytest -x -q tests/
+	$(PYTHON) -m pytest -q --doctest-modules src/repro
 	$(MAKE) smoke
 
 # CLI smoke runs exercising the sparse backend (metrics snapshot must

@@ -61,7 +61,7 @@ class _MeteredEngine(SynchronousEngine):
         self.sent_atoms: list[int] = []
         self.delivered_atoms: list[int] = []
 
-    def _execute_round(self, round_no, graph, trace):
+    def _execute_round(self, round_no, graph):
         originals = [process.compose for process in self.processes]
         composed: list[Any] = [None] * len(self.processes)
 
@@ -76,7 +76,7 @@ class _MeteredEngine(SynchronousEngine):
         for index, process in enumerate(self.processes):
             process.compose = wrap(index, originals[index])
         try:
-            super()._execute_round(round_no, graph, trace)
+            super()._execute_round(round_no, graph)
         finally:
             for process in self.processes:
                 # Remove the instance-level wrapper so the class method

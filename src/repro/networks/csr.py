@@ -15,11 +15,11 @@ This module owns that lowering:
 * :func:`lower_graph` -- ``nx.Graph`` -> :class:`CSRAdjacency` with the
   engine's model checks (node set ``{0..n-1}``, no self-loops,
   connectivity);
-* :func:`csr_from_edges` / :func:`graph_from_edges` -- the CSR-native
-  path: build a validated adjacency (or its ``networkx`` oracle view)
-  straight from ``(u, v)`` edge index arrays, with no ``nx.Graph`` on
-  the hot path -- the substrate of
-  :class:`repro.networks.csr_native.DynamicGraph`;
+* :func:`csr_from_edges` -- the CSR-native path: build a validated
+  adjacency straight from ``(u, v)`` edge index arrays, with no
+  ``nx.Graph`` on the hot path -- the substrate of
+  :class:`repro.networks.csr_native.DynamicGraph` (whose ``at`` builds
+  the ``networkx`` oracle view of the same arrays);
 * :func:`csr_from_lane_edges` -- the fast engine's per-round build: the
   block-diagonal adjacency of a whole batch of independent lanes (seeds
   x sizes of a sweep point) plus a per-lane connectivity flag, from the
@@ -102,7 +102,6 @@ __all__ = [
     "component_labels",
     "csr_from_edges",
     "csr_from_lane_edges",
-    "graph_from_edges",
     "index_dtype_for",
     "lower_graph",
     "stack_adjacencies",
@@ -706,21 +705,6 @@ def _lane_connectivity(matrix: sp.csr_array, offsets: np.ndarray) -> np.ndarray:
         breadth_first_order(rooted, n, directed=True, return_predecessors=False)
     ] = True
     return np.logical_and.reduceat(seen[:n], starts)
-
-
-def graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> nx.Graph:
-    """The ``networkx`` oracle view of the same ``(u, v)`` edge arrays.
-
-    Used by the object engine and the verification oracles; the fast
-    backend never calls this.  Runs the same validation as
-    :func:`csr_from_edges`, so the two views are built from identical
-    inputs through independent code paths.
-    """
-    u, v = validate_edge_arrays(n, u, v)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    graph.add_edges_from(zip(u.tolist(), v.tolist()))
-    return graph
 
 
 def stack_adjacencies(parts: Sequence[CSRAdjacency]) -> CSRAdjacency:

@@ -25,7 +25,7 @@ from collections.abc import Sequence
 import networkx as nx
 import numpy as np
 
-from repro.networks.csr import graph_from_edges, index_dtype_for
+from repro.networks.csr import index_dtype_for
 from repro.networks.csr_native import DynamicGraph
 from repro.networks.generators.streams import round_rng
 
@@ -150,11 +150,11 @@ def random_connected_graph(
     """Sample a connected graph: a uniform random tree plus noise edges.
 
     The ``networkx`` view of :func:`random_connected_edges` -- same
-    sampler, object representation.
+    sampler, object representation, validated and built once by
+    :meth:`DynamicGraph.at`.
     """
-    return graph_from_edges(
-        n, *random_connected_edges(n, rng, extra_edge_p=extra_edge_p)
-    )
+    edges = random_connected_edges(n, rng, extra_edge_p=extra_edge_p)
+    return DynamicGraph(n, lambda _round_no: edges).at(0)
 
 
 class RandomConnectedAdversary:

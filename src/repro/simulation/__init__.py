@@ -35,7 +35,6 @@ from repro.simulation.errors import (
 from repro.simulation.labeled import LabeledStarEngine
 from repro.simulation.messages import Inbox, LabeledInbox
 from repro.simulation.node import LeaderAware, Process
-from repro.simulation.trace import RoundRecord, SimulationTrace, TraceLevel
 
 __all__ = [
     "EngineConfig",
@@ -49,14 +48,11 @@ __all__ = [
     "Process",
     "ProtocolViolationError",
     "ReproError",
-    "RoundRecord",
     "SimulationError",
     "SimulationResult",
-    "SimulationTrace",
     "SynchronousEngine",
     "TerminationError",
     "TopologyError",
-    "TraceLevel",
     "VectorizedProtocol",
 ]
 

@@ -17,7 +17,7 @@ written (as schedules, see docs/MODEL.md).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import networkx as nx
@@ -32,7 +32,6 @@ from repro.simulation.errors import (
 )
 from repro.simulation.messages import Inbox, canonical_sort_key
 from repro.simulation.node import Process
-from repro.simulation.trace import RoundRecord, SimulationTrace, TraceLevel
 
 if TYPE_CHECKING:
     from repro.networks.csr_native import DynamicGraph
@@ -106,14 +105,17 @@ class EngineConfig:
             :class:`ProtocolViolationError` at the offending round
             instead of a confusing failure wherever a multiset view is
             first taken).
-        trace_level: How much per-round detail to record.
+
+    A run's per-round record is its telemetry event
+    (:mod:`repro.obs.telemetry`, ``--telemetry``), on this engine and
+    the fast one alike; round ``r``'s graph is the topology's
+    ``DynamicGraph.at(r)``.
     """
 
     max_rounds: int = 10_000
     stop_when: str = "leader"
     require_connected: bool = True
     validate_payloads: bool = False
-    trace_level: TraceLevel = TraceLevel.NONE
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
@@ -135,14 +137,12 @@ class SimulationResult:
             that produced an output appear).
         leader_output: Output of the leader process, or ``None``.
         terminated: Whether the stop criterion was met within budget.
-        trace: The recorded trace (empty at ``TraceLevel.NONE``).
     """
 
     rounds: int
     outputs: dict[int, Any]
     leader_output: Any
     terminated: bool
-    trace: SimulationTrace = field(default_factory=SimulationTrace)
 
 
 class SynchronousEngine:
@@ -206,7 +206,6 @@ class SynchronousEngine:
             TopologyError: The adversary produced an invalid graph.
         """
         config = self.config
-        trace = SimulationTrace(level=config.trace_level)
         n = len(self.processes)
 
         counter("engine.runs")
@@ -218,21 +217,20 @@ class SynchronousEngine:
                     "n": n,
                     "stop_when": config.stop_when,
                     "max_rounds": config.max_rounds,
-                    "trace_level": int(config.trace_level),
                 },
             )
         rounds_executed = 0
         for round_no in range(config.max_rounds):
             graph = self._validated_graph(round_no)
-            self._execute_round(round_no, graph, trace)
+            self._execute_round(round_no, graph)
             rounds_executed = round_no + 1
             if self._stop_criterion_met():
                 self._log_run_end(rounds_executed, terminated=True)
-                return self._result(rounds_executed, trace, terminated=True)
+                return self._result(rounds_executed, terminated=True)
 
         if config.stop_when == "budget":
             self._log_run_end(rounds_executed, terminated=True)
-            return self._result(rounds_executed, trace, terminated=True)
+            return self._result(rounds_executed, terminated=True)
         raise TerminationError(
             f"stop criterion {config.stop_when!r} not met within "
             f"{config.max_rounds} rounds"
@@ -274,9 +272,7 @@ class SynchronousEngine:
         the *local degree detector* of the Discussion (Section 4.2).
         """
 
-    def _execute_round(
-        self, round_no: int, graph: nx.Graph, trace: SimulationTrace
-    ) -> None:
+    def _execute_round(self, round_no: int, graph: nx.Graph) -> None:
         self._before_send(round_no, graph)
         # Send phase: every process composes its broadcast payload before
         # any delivery happens (the two phases are globally synchronous).
@@ -303,9 +299,6 @@ class SynchronousEngine:
             for payload in payloads
         ]
         delivered = 0
-        deliveries: dict[int, Any] | None = (
-            {} if trace.level >= TraceLevel.FULL else None
-        )
         for index, process in enumerate(self.processes):
             senders = [
                 neighbour
@@ -317,8 +310,6 @@ class SynchronousEngine:
                 tuple(payloads[neighbour] for neighbour in senders)
             )
             delivered += len(inbox)
-            if deliveries is not None:
-                deliveries[index] = inbox
             process.deliver(round_no, inbox)
 
         sent = sum(1 for p in payloads if p is not None)
@@ -327,19 +318,7 @@ class SynchronousEngine:
         counter("engine.messages_delivered", delivered)
         if self._telemetry is not None and self._telemetry.wants(round_no):
             self._emit_telemetry(round_no, graph, sent, delivered)
-        if trace.level >= TraceLevel.TOPOLOGY:
-            trace.append(
-                RoundRecord(
-                    round_no=round_no,
-                    graph=graph.copy(),
-                    messages_sent=sent,
-                    messages_delivered=delivered,
-                    deliveries=deliveries,
-                )
-            )
         if _log.isEnabledFor(logging.DEBUG):
-            # The same stats a RoundRecord carries, at every TraceLevel
-            # (the trace may be off while the event log is on).
             _log.debug(
                 "round executed",
                 extra={
@@ -383,9 +362,7 @@ class SynchronousEngine:
         outputs = (process.output() is not None for process in self.processes)
         return all(outputs) if stop_when == "all" else any(outputs)
 
-    def _result(
-        self, rounds: int, trace: SimulationTrace, *, terminated: bool
-    ) -> SimulationResult:
+    def _result(self, rounds: int, *, terminated: bool) -> SimulationResult:
         outputs = {
             index: output
             for index, process in enumerate(self.processes)
@@ -399,7 +376,6 @@ class SynchronousEngine:
             outputs=outputs,
             leader_output=leader_output,
             terminated=terminated,
-            trace=trace,
         )
 
 

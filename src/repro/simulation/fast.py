@@ -47,9 +47,10 @@ The object engine remains the semantics oracle: round counts, outputs,
 stop-criterion behaviour, and the ``engine.*`` counters of a fast run
 are defined to equal the object engine's on the same workload, and the
 test suite differential-tests exactly that (floating-point protocols
-match to within accumulation order).  The fast path intentionally does
-not support tracing -- re-run on the object engine to inspect a
-round-by-round trace.
+match to within accumulation order).  A run's per-round record is its
+telemetry event (:mod:`repro.obs.telemetry`, ``--telemetry``), as on
+the object engine; a round's graph is ``DynamicGraph.at(r)`` of its
+lane's topology.
 
 Known chunking caveat (a documented divergence outside the
 differential contract): a lane's topology is only evaluated for the
@@ -84,7 +85,6 @@ from repro.obs.metrics import counter
 from repro.obs.spans import span
 from repro.simulation.engine import EngineConfig, SimulationResult, network_of
 from repro.simulation.errors import TerminationError, TopologyError
-from repro.simulation.trace import SimulationTrace, TraceLevel
 
 _log = get_logger("simulation.fast")
 
@@ -620,8 +620,7 @@ class FastEngine:
         protocol: The vectorized protocol instance (one per engine).
         lanes: The independent runs to stack; a single lane is the
             un-batched case.
-        config: Engine configuration (``trace_level`` must be ``NONE``:
-            the fast path records no traces).
+        config: Engine configuration, as on the object engine.
         max_lane_nodes: Streaming budget -- the maximum number of nodes
             stacked into one block-diagonal chunk.  ``None`` (default)
             adopts the ambient budget (:func:`lane_budget_enabled`,
@@ -653,11 +652,6 @@ class FastEngine:
         if not lanes:
             raise ValueError("need at least one lane")
         self.config = config or EngineConfig()
-        if self.config.trace_level != TraceLevel.NONE:
-            raise ValueError(
-                "the fast backend does not record traces; run the object "
-                "engine (backend='object') to trace an execution"
-            )
         self.protocol = protocol
         self.lanes = list(lanes)
         sizes = []
@@ -846,5 +840,4 @@ class FastEngine:
             outputs=outputs,
             leader_output=leader_output,
             terminated=True,
-            trace=SimulationTrace(level=TraceLevel.NONE),
         )

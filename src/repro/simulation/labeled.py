@@ -14,7 +14,7 @@ delivered as ``(label, payload)`` pairs -- one pair per parallel edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Protocol, Sequence, runtime_checkable
 
 from repro.simulation.errors import (
@@ -24,7 +24,6 @@ from repro.simulation.errors import (
 )
 from repro.simulation.messages import LabeledInbox
 from repro.simulation.node import Process
-from repro.simulation.trace import SimulationTrace
 
 __all__ = ["LabelSetProvider", "LabeledStarEngine", "LabeledRunResult"]
 
@@ -65,7 +64,6 @@ class LabeledRunResult:
     leader_output: Any
     outputs: dict[int, Any]
     terminated: bool
-    trace: SimulationTrace = field(default_factory=SimulationTrace)
 
 
 class LabeledStarEngine:
@@ -78,7 +76,7 @@ class LabeledStarEngine:
         w_processes: The anonymous non-leader processes, one per node of
             ``W`` (indices are engine bookkeeping only).
         labels: The adversary supplying per-round label sets.
-        max_rounds: Round budget.
+        max_rounds: Round budget (at least 1).
         stop_when: ``"leader"`` (default) stops when the leader outputs;
             ``"budget"`` runs exactly ``max_rounds`` rounds.
     """
@@ -92,6 +90,8 @@ class LabeledStarEngine:
         max_rounds: int = 10_000,
         stop_when: str = "leader",
     ) -> None:
+        if max_rounds < 1:
+            raise ValueError("max_rounds must be at least 1")
         if stop_when not in {"leader", "budget"}:
             raise ValueError("stop_when must be 'leader' or 'budget'")
         self.leader_process = leader_process

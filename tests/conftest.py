@@ -2,17 +2,47 @@
 
 from __future__ import annotations
 
+import io
+import json
+from contextlib import contextmanager
+from typing import Iterator
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from repro.core.states import all_label_sets
+from repro.obs.spans import JsonlSink, add_sink, remove_sink
+from repro.obs.telemetry import telemetry_enabled
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic random generator for stochastic tests."""
     return np.random.default_rng(12345)
+
+
+@contextmanager
+def recorded_telemetry() -> Iterator[list[dict]]:
+    """Telemetry on for every round inside the block.
+
+    Yields a list that holds the block's telemetry events once the
+    block exits.  A context manager rather than a fixture, so that a
+    hypothesis example records only its own run.
+    """
+    buffer = io.StringIO()
+    sink = add_sink(JsonlSink(buffer))
+    events: list[dict] = []
+    try:
+        with telemetry_enabled():
+            yield events
+    finally:
+        remove_sink(sink)
+    events.extend(
+        event
+        for event in map(json.loads, buffer.getvalue().splitlines())
+        if event.get("kind") == "telemetry"
+    )
 
 
 def label_set_strategy(k: int = 2) -> st.SearchStrategy:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.counting.gossip import gossip_size_estimates
 from repro.core.solver import (
     feasible_size_interval,
     feasible_size_set_bruteforce,
@@ -28,9 +29,8 @@ from repro.networks.multigraph import DynamicMultigraph
 from repro.simulation.engine import EngineConfig, SynchronousEngine
 from repro.simulation.errors import InfeasibleObservationError
 from repro.simulation.node import Process
-from repro.simulation.trace import TraceLevel
 
-from tests.conftest import schedules_strategy
+from tests.conftest import recorded_telemetry, schedules_strategy
 
 
 class BroadcastEverything(Process):
@@ -55,25 +55,43 @@ class TestEngineConservation:
     @settings(max_examples=25, deadline=None)
     def test_deliveries_equal_degree_sum(self, n, rounds, seed):
         """Every broadcast is delivered exactly degree-many times."""
-        adversary = RandomConnectedAdversary(n, seed=seed)
+        network = RandomConnectedAdversary(n, seed=seed).as_dynamic_graph()
         processes = [BroadcastEverything() for _ in range(n)]
         engine = SynchronousEngine(
             processes,
-            adversary,
+            network,
             leader=None,
-            config=EngineConfig(
-                max_rounds=rounds,
-                stop_when="budget",
-                trace_level=TraceLevel.TOPOLOGY,
-            ),
+            config=EngineConfig(max_rounds=rounds, stop_when="budget"),
         )
-        result = engine.run()
-        for record in result.trace:
+        with recorded_telemetry() as events:
+            engine.run()
+        assert [event["round"] for event in events] == list(range(rounds))
+        for event in events:
             degree_sum = sum(
-                degree for _node, degree in record.graph.degree()
+                degree for _node, degree in network.at(event["round"]).degree()
             )
-            assert record.messages_delivered == degree_sum
-            assert record.messages_sent == n
+            assert event["delivered"] == degree_sum
+            assert event["sent"] == n
+
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_fast_engine_conserves_push_sum_traffic(self, n, rounds, seed):
+        """On the fast engine too, every node sends each round and each
+        edge carries one payload each way."""
+        network = RandomConnectedAdversary(n, seed=seed).as_dynamic_graph()
+        with recorded_telemetry() as events:
+            gossip_size_estimates(network, n, rounds, backend="fast")
+        assert [event["round"] for event in events] == list(range(rounds))
+        for event in events:
+            assert event["engine"] == "fast"
+            edges = network.at(event["round"]).number_of_edges()
+            assert event["edges"] == edges
+            assert event["sent"] == n
+            assert event["delivered"] == 2 * edges
 
     @given(
         st.integers(min_value=2, max_value=10),

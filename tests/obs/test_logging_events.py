@@ -6,7 +6,6 @@ import json
 import logging
 
 import networkx as nx
-import pytest
 
 from repro.core.counting.star import make_star_processes
 from repro.networks import DynamicGraph
@@ -18,8 +17,9 @@ from repro.obs.logger import (
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.spans import span
 from repro.obs.stats import summarize_stats_file
-from repro.simulation import EngineConfig, SynchronousEngine
-from repro.simulation.trace import TraceLevel
+from repro.simulation import SynchronousEngine
+
+from tests.conftest import recorded_telemetry
 
 
 class TestGetLogger:
@@ -74,25 +74,21 @@ class TestConfigureLogging:
         assert not [line for line in lines if "after" in line]
 
 
-def _run_star(trace_level: TraceLevel, n: int = 4):
+def _run_star(n: int = 4):
     processes, leader = make_star_processes(n)
     engine = SynchronousEngine(
         processes,
         DynamicGraph.from_graphs([nx.star_graph(n - 1)], extend="hold"),
         leader=leader,
-        config=EngineConfig(trace_level=trace_level),
     )
     return engine.run()
 
 
 class TestEngineRoundEvents:
-    @pytest.mark.parametrize(
-        "trace_level", [TraceLevel.NONE, TraceLevel.TOPOLOGY, TraceLevel.FULL]
-    )
-    def test_round_events_at_every_trace_level(self, caplog, trace_level):
-        """Debug round events fire even when the trace records nothing."""
+    def test_round_events(self, caplog):
+        """Debug round events fire with telemetry off."""
         with caplog.at_level(logging.DEBUG, logger="repro"):
-            result = _run_star(trace_level)
+            result = _run_star()
         rounds = [
             record
             for record in caplog.records
@@ -105,26 +101,28 @@ class TestEngineRoundEvents:
             assert record.sent >= 1
             assert record.delivered >= 1
         start = [r for r in caplog.records if r.message == "run started"]
-        assert start and start[0].trace_level == int(trace_level)
+        assert start and start[0].stop_when == "leader"
         assert any(r.message == "run finished" for r in caplog.records)
 
     def test_counters_match_run(self):
         with use_registry(MetricsRegistry()) as registry:
-            result = _run_star(TraceLevel.TOPOLOGY)
+            with recorded_telemetry() as events:
+                result = _run_star()
+        assert [event["round"] for event in events] == list(range(result.rounds))
         counters = registry.snapshot()["counters"]
         assert counters["engine.runs"] == 1
         assert counters["engine.rounds"] == result.rounds
         assert counters["engine.graphs"] == result.rounds
         assert counters["engine.messages_sent"] == sum(
-            record.messages_sent for record in result.trace
+            event["sent"] for event in events
         )
         assert counters["engine.messages_delivered"] == sum(
-            record.messages_delivered for record in result.trace
+            event["delivered"] for event in events
         )
 
     def test_silent_at_default_level(self, caplog):
         with caplog.at_level(logging.INFO, logger="repro"):
-            _run_star(TraceLevel.NONE)
+            _run_star()
         assert not [
             r for r in caplog.records if r.message == "round executed"
         ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import weakref
 
@@ -26,7 +27,6 @@ from repro.simulation.errors import (
 )
 from repro.simulation.messages import Inbox
 from repro.simulation.node import Process
-from repro.simulation.trace import TraceLevel
 
 
 class EchoProcess(Process):
@@ -83,6 +83,17 @@ class TestEngineBasics:
             assert round_no == 0
             expected = {f"p{j}" for j in range(3) if j != i}
             assert set(inbox) == expected
+
+    def test_path_neighbours_exchange_payloads(self):
+        processes = [EchoProcess("a"), EchoProcess("b")]
+        SynchronousEngine(
+            processes,
+            held(nx.path_graph(2)),
+            leader=None,
+            config=EngineConfig(max_rounds=1, stop_when="budget"),
+        ).run()
+        assert processes[0].received == [(0, Inbox(["b"]))]
+        assert processes[1].received == [(0, Inbox(["a"]))]
 
     def test_anonymity_no_sender_information(self):
         processes = [EchoProcess("same") for _ in range(4)]
@@ -380,6 +391,16 @@ class TestEngineValidation:
         with pytest.raises(ValueError):
             EngineConfig(stop_when="never")
 
+    def test_config_fields(self):
+        """The whole run configuration; a run's per-round record is its
+        telemetry event, not a config-selected trace."""
+        assert [field.name for field in dataclasses.fields(EngineConfig)] == [
+            "max_rounds",
+            "stop_when",
+            "require_connected",
+            "validate_payloads",
+        ]
+
 
 def _mixed_labels() -> nx.Graph:
     return nx.Graph([(0, 1), (1, "x"), ("x", 7)])
@@ -493,48 +514,6 @@ class TestEachRoundCheckedOnce:
             config=EngineConfig(max_rounds=self.ROUNDS, stop_when="budget"),
         ).run()
         assert calls == 1
-
-
-class TestTracing:
-    def test_topology_trace_records_graphs(self):
-        processes = [EchoProcess(), EchoProcess()]
-        engine = SynchronousEngine(
-            processes,
-            held(nx.path_graph(2)),
-            leader=None,
-            config=EngineConfig(
-                stop_when="budget",
-                max_rounds=3,
-                trace_level=TraceLevel.TOPOLOGY,
-            ),
-        )
-        trace = engine.run().trace
-        assert trace.rounds == 3
-        assert all(record.graph.number_of_edges() == 1 for record in trace)
-        assert trace.total_messages == 3 * 2
-
-    def test_full_trace_records_deliveries(self):
-        processes = [EchoProcess("a"), EchoProcess("b")]
-        engine = SynchronousEngine(
-            processes,
-            held(nx.path_graph(2)),
-            leader=None,
-            config=EngineConfig(
-                stop_when="budget", max_rounds=1, trace_level=TraceLevel.FULL
-            ),
-        )
-        trace = engine.run().trace
-        assert trace[0].deliveries[0] == Inbox(["b"])
-        assert trace[0].deliveries[1] == Inbox(["a"])
-
-    def test_no_trace_by_default(self):
-        engine = SynchronousEngine(
-            [EchoProcess(), EchoProcess()],
-            held(nx.path_graph(2)),
-            leader=None,
-            config=EngineConfig(stop_when="budget", max_rounds=2),
-        )
-        assert engine.run().trace.rounds == 0
 
 
 class TestDegreeOracleEngine:

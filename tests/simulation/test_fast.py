@@ -20,7 +20,6 @@ from repro.simulation.fast import (
     VectorizedProtocol,
     resolve_backend,
 )
-from repro.simulation.trace import TraceLevel
 
 
 def dyn(graphs, **kwargs):
@@ -367,14 +366,6 @@ class TestFastEngine:
             "connectivity is required$",
         ):
             run_lanes(lanes, 5)
-
-    def test_trace_level_rejected(self):
-        with pytest.raises(ValueError, match="trace"):
-            FastEngine(
-                Flood([0]),
-                [FastLane(dyn([nx.path_graph(3)]), 3, leader=None)],
-                config=EngineConfig(trace_level=TraceLevel.TOPOLOGY),
-            )
 
     def test_leader_stop_requires_leader(self):
         with pytest.raises(ValueError, match="leader"):

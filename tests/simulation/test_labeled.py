@@ -91,6 +91,20 @@ class TestLabeledStarEngine:
         with pytest.raises(TerminationError):
             engine.run()
 
+    @pytest.mark.parametrize("stop_when", ["leader", "budget"])
+    @pytest.mark.parametrize("max_rounds", [0, -1])
+    def test_rejects_empty_budget(self, max_rounds, stop_when):
+        """Regression: a budget below 1 ran no round and, with
+        ``stop_when="budget"``, reported a terminated 0-round run."""
+        with pytest.raises(ValueError, match="^max_rounds must be at least 1$"):
+            LabeledStarEngine(
+                RecordingLeader(),
+                [RecordingNode()],
+                mdbl([[{1}]]),
+                max_rounds=max_rounds,
+                stop_when=stop_when,
+            )
+
     def test_invalid_stop_when(self):
         multigraph = mdbl([[{1}]])
         with pytest.raises(ValueError):
