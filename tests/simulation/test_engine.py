@@ -28,6 +28,8 @@ from repro.simulation.errors import (
 from repro.simulation.messages import Inbox
 from repro.simulation.node import Process
 
+from tests.conftest import recorded_telemetry
+
 
 class EchoProcess(Process):
     """Broadcasts a constant; records everything received."""
@@ -514,6 +516,24 @@ class TestEachRoundCheckedOnce:
             config=EngineConfig(max_rounds=self.ROUNDS, stop_when="budget"),
         ).run()
         assert calls == 1
+
+
+class TestTracing:
+    """A run's per-round record is its telemetry event."""
+
+    def test_topology_trace_records_graphs(self):
+        processes = [EchoProcess(), EchoProcess()]
+        engine = SynchronousEngine(
+            processes,
+            held(nx.path_graph(2)),
+            leader=None,
+            config=EngineConfig(stop_when="budget", max_rounds=3),
+        )
+        with recorded_telemetry() as events:
+            engine.run()
+        assert [event["round"] for event in events] == [0, 1, 2]
+        assert all(event["edges"] == 1 for event in events)
+        assert sum(event["delivered"] for event in events) == 3 * 2
 
 
 class TestDegreeOracleEngine:
