@@ -307,7 +307,7 @@ class VectorizedDrain(VectorizedProtocol):
     never runs past the end of a plan.
 
     Args:
-        plans: One phase plan per lane, in lane order.
+        plans: One phase plan per lane, by batch lane index.
     """
 
     def __init__(self, plans: Sequence[Sequence[DrainPhase]]) -> None:
@@ -317,9 +317,10 @@ class VectorizedDrain(VectorizedProtocol):
         self.details: list[dict[str, Any] | None] = []
 
     def allocate(self, layouts: Sequence[LaneLayout]) -> None:
-        if len(layouts) != len(self.plans):
+        if len(self.plans) <= layouts[-1].index:
             raise ValueError(
-                f"{len(self.plans)} lane plans for {len(layouts)} lanes"
+                f"{len(self.plans)} lane plans for "
+                f"{layouts[-1].index + 1} lanes"
             )
         self._layouts = list(layouts)
         total = layouts[-1].stop
@@ -340,15 +341,15 @@ class VectorizedDrain(VectorizedProtocol):
         self._counts = np.zeros(lanes, dtype=np.int64)
         self._done = np.zeros(lanes, dtype=bool)
         self._mask = np.zeros(total, dtype=bool)
-        self.details = [None] * lanes
+        self.details[layouts[0].index :] = [None] * lanes
         self._groups = self._group_lanes()
         for group in self._groups:
             self._reset_phase(group)
 
     def _group_lanes(self) -> list[_PhaseGroup]:
         members: dict[tuple[DrainPhase, ...], list[int]] = {}
-        for lane, plan in enumerate(self.plans):
-            members.setdefault(plan, []).append(lane)
+        for lane, layout in enumerate(self._layouts):
+            members.setdefault(self.plans[layout.index], []).append(lane)
         groups = []
         for plan, lanes in members.items():
             nodes: slice | np.ndarray = slice(None)
@@ -483,7 +484,7 @@ class VectorizedDrain(VectorizedProtocol):
                 self._counts[lane] = q + 1
                 self._done[lane] = True
                 self._mask[leader] = True
-                self.details[lane] = {
+                self.details[self._layouts[lane].index] = {
                     "candidate": phase.candidate,
                     "phases": group.cursor + 1,
                 }
@@ -495,19 +496,10 @@ class VectorizedDrain(VectorizedProtocol):
         if not self._mask[layout.leader]:
             return {}
         return {
-            layout.leader - layout.offset: int(self._counts[layout.index])
+            layout.leader - layout.offset: int(
+                self._counts[layout.index - self._layouts[0].index]
+            )
         }
-
-    def subset(self, indices: Sequence[int]) -> "VectorizedDrain":
-        return VectorizedDrain([self.plans[index] for index in indices])
-
-    def absorb(self, sub: "VectorizedDrain", indices: Sequence[int]) -> None:
-        # Chunks arrive in ascending lane order; align decision details
-        # with their batch-level lane indices.
-        for local, index in enumerate(indices):
-            while len(self.details) <= index:
-                self.details.append(None)
-            self.details[index] = sub.details[local]
 
 
 #: The drain kinds: candidate schedule and reported algorithm name.

@@ -68,18 +68,20 @@ class VectorizedFlood(VectorizedProtocol):
     doubles as the state update.
 
     Args:
-        sources: Per-lane source node (lane-local index).
+        sources: Per-lane source node (lane-local index), by batch lane
+            index.
     """
 
     def __init__(self, sources: Sequence[int]) -> None:
         self._sources = [int(source) for source in sources]
 
     def allocate(self, layouts: Sequence[LaneLayout]) -> None:
-        if len(self._sources) != len(layouts):
+        if len(self._sources) <= layouts[-1].index:
             raise ValueError("one source per lane required")
         total = layouts[-1].stop
         self.informed = np.zeros(total, dtype=bool)
-        for layout, source in zip(layouts, self._sources):
+        for layout in layouts:
+            source = self._sources[layout.index]
             if not 0 <= source < layout.n:
                 raise ValueError(
                     f"lane {layout.index}: source {source} out of range"
@@ -105,9 +107,6 @@ class VectorizedFlood(VectorizedProtocol):
     def outputs_for(self, layout: LaneLayout) -> dict[int, bool]:
         lane = self.informed[layout.offset : layout.stop]
         return dict.fromkeys(np.flatnonzero(lane).tolist(), True)
-
-    def subset(self, indices: Sequence[int]) -> "VectorizedFlood":
-        return VectorizedFlood([self._sources[i] for i in indices])
 
 
 def flood_time_via_protocol(

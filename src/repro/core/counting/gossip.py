@@ -89,7 +89,8 @@ class VectorizedPushSum(VectorizedProtocol):
     which is exactly the degree vector of the round's matrix); the
     ``(N, 2)`` divisor is kept for as long as the adjacency object
     repeats, so a held topology builds it once.  Leader estimates are
-    recorded per lane after every round.
+    recorded per lane after every round, in :attr:`estimates` by batch
+    lane index.
 
     The protocol never commits an output (it is an estimator); run it
     under ``stop_when="budget"``.  Estimates match the object protocol
@@ -108,7 +109,7 @@ class VectorizedPushSum(VectorizedProtocol):
         for layout in layouts:
             self._mass[layout.leader, 1] = 1.0
         self._shares_of = None
-        self.estimates = [[] for _ in layouts]
+        self.estimates[layouts[0].index :] = [[] for _ in layouts]
 
     @property
     def x(self) -> np.ndarray:
@@ -144,19 +145,6 @@ class VectorizedPushSum(VectorizedProtocol):
 
     def outputs_for(self, layout: LaneLayout) -> dict[int, float]:
         return {}
-
-    def subset(self, indices: Sequence[int]) -> "VectorizedPushSum":
-        return VectorizedPushSum()
-
-    def absorb(
-        self, sub: "VectorizedPushSum", indices: Sequence[int]
-    ) -> None:
-        # Chunks arrive in ascending lane order, so extending keeps the
-        # estimate curves aligned with their batch-level lane indices.
-        for local, index in enumerate(indices):
-            while len(self.estimates) <= index:
-                self.estimates.append([])
-            self.estimates[index] = sub.estimates[local]
 
 
 def gossip_size_estimates(

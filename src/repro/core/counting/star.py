@@ -107,9 +107,6 @@ class VectorizedStar(VectorizedProtocol):
             layout.leader - layout.offset: int(self._counts[layout.leader])
         }
 
-    def subset(self, indices: Sequence[int]) -> "VectorizedStar":
-        return VectorizedStar()
-
 
 def make_star_processes(n: int, *, leader: int = 0) -> tuple[list[Process], int]:
     """Build the ``n`` processes of the star protocol.

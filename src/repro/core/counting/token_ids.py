@@ -96,7 +96,8 @@ class VectorizedIdFlood(VectorizedProtocol):
     ``max_rounds = max(horizons) + 1``).
 
     Args:
-        horizons: Per-lane output horizon (``>= 1`` each).
+        horizons: Per-lane output horizon (``>= 1`` each), by batch
+            lane index.
     """
 
     def __init__(self, horizons: Sequence[int]) -> None:
@@ -105,7 +106,7 @@ class VectorizedIdFlood(VectorizedProtocol):
             raise ValueError("horizon must be at least 1")
 
     def allocate(self, layouts: Sequence[LaneLayout]) -> None:
-        if len(self._horizons) != len(layouts):
+        if len(self._horizons) <= layouts[-1].index:
             raise ValueError("one horizon per lane required")
         self._layouts = list(layouts)
         total = layouts[-1].stop
@@ -126,7 +127,8 @@ class VectorizedIdFlood(VectorizedProtocol):
         for lo in range(0, self.known.shape[1], ID_COLUMN_BLOCK):
             block = self.known[:, lo : lo + ID_COLUMN_BLOCK]
             block |= adjacency.matmul(block.astype(np.float64)) > 0.0
-        for layout, horizon in zip(self._layouts, self._horizons):
+        for layout in self._layouts:
+            horizon = self._horizons[layout.index]
             if round_no + 1 >= horizon and not self._mask[layout.offset]:
                 rows = slice(layout.offset, layout.stop)
                 self._counts[rows] = self.known[rows].sum(axis=1)
@@ -143,11 +145,6 @@ class VectorizedIdFlood(VectorizedProtocol):
             index: int(self._counts[layout.offset + index])
             for index in range(layout.n)
         }
-
-    def subset(self, indices: Sequence[int]) -> "VectorizedIdFlood":
-        # The chunk-local known matrix narrows to the chunk's widest
-        # lane; outputs only ever read a lane's own columns.
-        return VectorizedIdFlood([self._horizons[i] for i in indices])
 
 
 def count_with_ids(

@@ -115,8 +115,9 @@ class VectorizedTokenFlood(VectorizedProtocol):
     object protocol's ``compose`` does.
 
     Args:
-        assignments: Per-lane ``node -> token`` initial placement.
-        token_counts: Per-lane number of distinct tokens.
+        assignments: Per-lane ``node -> token`` initial placement, by
+            batch lane index.
+        token_counts: Per-lane number of distinct tokens, likewise.
     """
 
     def __init__(
@@ -129,16 +130,16 @@ class VectorizedTokenFlood(VectorizedProtocol):
         self.messages: list[int] = []
 
     def allocate(self, layouts: Sequence[LaneLayout]) -> None:
-        if len(self._assignments) != len(layouts):
+        if len(self._assignments) <= layouts[-1].index:
             raise ValueError("one assignment per lane required")
         self._layouts = list(layouts)
         total = layouts[-1].stop
-        width = max(self._token_counts)
+        width = max(self._token_counts[layout.index] for layout in layouts)
         self.known = np.zeros((total, width), dtype=bool)
         self._required = np.zeros(total, dtype=np.int64)
-        for layout, assignment, count in zip(
-            layouts, self._assignments, self._token_counts
-        ):
+        for layout in layouts:
+            assignment = self._assignments[layout.index]
+            count = self._token_counts[layout.index]
             columns = {
                 token: column
                 for column, token in enumerate(sorted(set(assignment.values())))
@@ -146,7 +147,7 @@ class VectorizedTokenFlood(VectorizedProtocol):
             for node, token in assignment.items():
                 self.known[layout.offset + node, columns[token]] = True
             self._required[layout.offset : layout.stop] = count
-        self.messages = [0 for _ in layouts]
+        self.messages[layouts[0].index :] = [0] * len(layouts)
 
     def step(
         self, round_no: int, adjacency, active: np.ndarray
@@ -173,20 +174,6 @@ class VectorizedTokenFlood(VectorizedProtocol):
         rows = slice(layout.offset, layout.stop)
         full = self.known[rows].sum(axis=1) == self._required[rows]
         return {index: True for index in range(layout.n) if full[index]}
-
-    def subset(self, indices: Sequence[int]) -> "VectorizedTokenFlood":
-        return VectorizedTokenFlood(
-            [self._assignments[i] for i in indices],
-            [self._token_counts[i] for i in indices],
-        )
-
-    def absorb(
-        self, sub: "VectorizedTokenFlood", indices: Sequence[int]
-    ) -> None:
-        for local, index in enumerate(indices):
-            while len(self.messages) <= index:
-                self.messages.append(0)
-            self.messages[index] = sub.messages[local]
 
 
 def disseminate_by_flooding(

@@ -126,9 +126,8 @@ def parse_every(text: str | None) -> int:
     """
     if text is None:
         return 1
-    raw = text.partition("=")[2] if "=" in text else text
     try:
-        every = int(raw)
+        every = int(text.removeprefix("every="))
     except ValueError:
         raise ValueError(
             f"--telemetry expects K or every=K, got {text!r}"

@@ -25,13 +25,9 @@ import networkx as nx
 from repro.obs import telemetry as telemetry_mod
 from repro.obs.logger import get_logger
 from repro.obs.metrics import counter
-from repro.simulation.errors import (
-    ProtocolViolationError,
-    TerminationError,
-    TopologyError,
-)
+from repro.simulation.errors import TerminationError, TopologyError
 from repro.simulation.messages import Inbox, canonical_sort_key
-from repro.simulation.node import Process
+from repro.simulation.node import Process, checked_compose
 
 if TYPE_CHECKING:
     from repro.networks.csr_native import DynamicGraph
@@ -279,16 +275,11 @@ class SynchronousEngine:
         validate = self.config.validate_payloads
         payloads: list[Any] = []
         for process in self.processes:
-            payload = process.compose(round_no)
-            if validate and payload is not None:
-                try:
-                    hash(payload)
-                except TypeError as exc:
-                    raise ProtocolViolationError(
-                        f"round {round_no}: unhashable broadcast payload "
-                        f"{payload!r} from {type(process).__name__}"
-                    ) from exc
-            payloads.append(payload)
+            payloads.append(
+                checked_compose(process, round_no)
+                if validate
+                else process.compose(round_no)
+            )
 
         # Receive phase: deliver each neighbour's payload anonymously.
         # Each payload is keyed once per round, not once per delivery; a

@@ -38,10 +38,11 @@ path that compiles a round into array operations.
   same matvec loop, and results, ``engine.*`` counters, and telemetry
   trajectories fold losslessly -- a chunked run is indistinguishable
   from the monolithic single-stack run except in peak memory, which is
-  bounded by the chunk budget instead of the whole grid.  Chunking
-  requires the protocol to implement
-  :meth:`VectorizedProtocol.subset` / :meth:`~VectorizedProtocol.absorb`
-  (all built-in protocols do).
+  bounded by the chunk budget instead of the whole grid.  One protocol
+  object runs every chunk: each chunk's :meth:`~VectorizedProtocol.allocate`
+  replaces the last chunk's state, and lane layouts keep their batch
+  position (:attr:`LaneLayout.index`), so a protocol needs nothing
+  extra to be chunked.
 
 The object engine remains the semantics oracle: round counts, outputs,
 stop-criterion behaviour, and the ``engine.*`` counters of a fast run
@@ -219,8 +220,10 @@ class LaneLayout:
     """Where a lane's nodes live on the stacked node axis.
 
     Attributes:
-        index: Lane position in the batch (chunk-local under streaming).
-        offset: First stacked node index of the lane.
+        index: Lane position in the whole batch, also under streaming;
+            per-lane protocol arguments and results are read and
+            written here.
+        offset: First stacked node index of the lane, within its chunk.
         n: Lane size; the lane spans ``[offset, offset + n)``.
         leader: Stacked index of the lane's leader (``None`` if
             leaderless).
@@ -255,14 +258,16 @@ class VectorizedProtocol(ABC):
     that lane's outputs (every protocol here is monotone or commits its
     output exactly once, so this holds by construction).
 
-    Under a streaming budget (``max_lane_nodes``) the engine runs lane
-    chunks through *fresh sub-protocols*: :meth:`subset` builds an
-    unallocated clone covering a contiguous slice of lanes, the chunk
-    runs to completion, lane results are extracted from the clone, and
-    :meth:`absorb` folds any per-lane side products (push-sum estimate
-    trails, dissemination message totals) back into the parent.  The
-    defaults make chunking opt-in per protocol: ``subset`` raises, and
-    ``absorb`` is a no-op.
+    Under a streaming budget (``max_lane_nodes``) the engine runs the
+    batch as contiguous lane chunks in ascending order, starting at
+    lane 0, through this one object: :meth:`allocate` is called once
+    per chunk with that chunk's layouts, which replaces the previous
+    chunk's state, and every lane's outputs are read before the next
+    chunk allocates.  A layout's ``index`` is the lane's position in
+    the whole batch, so per-lane arguments and side products (push-sum
+    estimate trails, dissemination message totals) are indexed by it;
+    a protocol cannot see later chunks, so it checks only that the
+    chunk's last lane has an argument.
     """
 
     @abstractmethod
@@ -310,29 +315,6 @@ class VectorizedProtocol(ABC):
     def outputs_for(self, layout: LaneLayout) -> dict[int, Any]:
         """Outputs of one lane, keyed by lane-local node index."""
 
-    def subset(self, indices: Sequence[int]) -> "VectorizedProtocol":
-        """A fresh, unallocated protocol covering lanes ``indices``.
-
-        ``indices`` is a contiguous ascending slice of the batch's lane
-        indices.  The engine allocates the returned protocol with
-        chunk-local layouts, so implementations only re-slice their
-        per-lane constructor arguments.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support streaming chunks; "
-            "implement subset()/absorb() or run without max_lane_nodes"
-        )
-
-    def absorb(self, sub: "VectorizedProtocol", indices: Sequence[int]) -> None:
-        """Fold a finished chunk's per-lane side products back in.
-
-        Called once per chunk, in ascending chunk order, with the
-        sub-protocol returned by :meth:`subset` after its lanes ran to
-        completion.  The default is a no-op: protocols whose entire
-        observable output flows through :meth:`outputs_for` need
-        nothing here.
-        """
-
 
 @dataclass
 class _BlockOutcome:
@@ -362,7 +344,8 @@ _TELEMETRY_KEYS = (
 class _LaneBlock:
     """One contiguous chunk of lanes, executed to completion.
 
-    Owns the chunk-local layouts (rebased to offset 0), the lanes'
+    Owns the chunk's layouts (offsets rebased to 0, indices numbered
+    from ``first``, the chunk's first lane in the batch), the lanes'
     dynamic graphs, the last round's stacked adjacency, the next
     round's edges while they are drawn ahead, and the matvec loop.
     The monolithic run is the one-block special case, so chunked and
@@ -370,7 +353,7 @@ class _LaneBlock:
     """
 
     def __init__(
-        self, lanes: Sequence[FastLane], config: EngineConfig
+        self, lanes: Sequence[FastLane], config: EngineConfig, first: int = 0
     ) -> None:
         self.lanes = list(lanes)
         self.config = config
@@ -385,18 +368,22 @@ class _LaneBlock:
         self._count_dtype = index_dtype_for(self.total_nodes)
         self._acc_dtype = index_dtype_for(self.total_nodes**2)
         self.layouts: list[LaneLayout] = []
-        for index, lane in enumerate(self.lanes):
-            offset = int(self._offsets[index])
+        for local, lane in enumerate(self.lanes):
+            offset = int(self._offsets[local])
             leader = None if lane.leader is None else offset + lane.leader
-            self.layouts.append(LaneLayout(index, offset, lane.n, leader))
+            self.layouts.append(
+                LaneLayout(first + local, offset, lane.n, leader)
+            )
         if config.stop_when == "leader":
             self._leaders = np.array(
                 [layout.leader for layout in self.layouts],
                 dtype=self._offsets.dtype,
             )
         self.graphs = [
-            network_of(lane.topology, lane.n, label=f"lane {index} topology")
-            for index, lane in enumerate(self.lanes)
+            network_of(
+                lane.topology, lane.n, label=f"lane {layout.index} topology"
+            )
+            for layout, lane in zip(self.layouts, self.lanes)
         ]
         self._sizes = [lane.n for lane in self.lanes]
         # The last round's (tuple of lane round keys, stacked adjacency).
@@ -420,7 +407,7 @@ class _LaneBlock:
             self._sizes, self._lane_edges(round_no)
         )
         if self.config.require_connected and not connected.all():
-            lane = int(np.flatnonzero(~connected)[0])
+            lane = self.layouts[int(np.flatnonzero(~connected)[0])].index
             raise TopologyError(
                 f"round {round_no}: lane {lane} graph is disconnected "
                 "but 1-interval connectivity is required"
@@ -617,7 +604,8 @@ class FastEngine:
     adjacency is built.
 
     Args:
-        protocol: The vectorized protocol instance (one per engine).
+        protocol: The vectorized protocol instance (one per engine);
+            it runs every chunk of the batch.
         lanes: The independent runs to stack; a single lane is the
             un-batched case.
         config: Engine configuration, as on the object engine.
@@ -673,20 +661,6 @@ class FastEngine:
         self.max_lane_nodes = max_lane_nodes
         self._chunks = partition_lanes(sizes, max_lane_nodes)
 
-    def _chunk_protocol(
-        self, start: int, stop: int
-    ) -> VectorizedProtocol:
-        try:
-            return self.protocol.subset(range(start, stop))
-        except NotImplementedError as exc:
-            raise TypeError(
-                f"max_lane_nodes={self.max_lane_nodes} splits "
-                f"{len(self.lanes)} lanes into {len(self._chunks)} chunks, "
-                f"but {type(self.protocol).__name__} does not implement "
-                "subset()/absorb(); raise the budget or add chunking "
-                "support to the protocol"
-            ) from exc
-
     # -- execution ----------------------------------------------------
 
     def run(self) -> list[SimulationResult]:
@@ -717,31 +691,23 @@ class FastEngine:
             chunks=len(self._chunks),
         ):
             for start, stop in self._chunks:
-                protocol = (
-                    self._chunk_protocol(start, stop)
-                    if streaming
-                    else self.protocol
-                )
-                block = _LaneBlock(self.lanes[start:stop], config)
+                block = _LaneBlock(self.lanes[start:stop], config, start)
                 outcome = block.run(
-                    protocol,
+                    self.protocol,
                     telemetry,
                     stream=not streaming,
                     batch_nodes=self.total_nodes,
                 )
-                # Extract lane results while the chunk's state is live,
-                # then release it before the next chunk allocates.
+                # Extract lane results before the next chunk's allocate
+                # replaces the protocol state.
                 for local, layout in enumerate(block.layouts):
                     results.append(
                         self._lane_result(
-                            protocol,
                             block.lanes[local],
                             layout,
                             int(outcome.rounds_done[local]),
                         )
                     )
-                if streaming:
-                    self.protocol.absorb(protocol, range(start, stop))
                 for key in stats:
                     stats[key] += outcome.stats[key]
                 stuck.extend(start + local for local in outcome.stuck)
@@ -751,7 +717,7 @@ class FastEngine:
                 )
                 if telemetry is not None and streaming:
                     chunk_telemetry.append((outcome, block))
-                del protocol, block, outcome
+                del block, outcome
             # One value emission per batch: the monolithic loop executes
             # max-over-lanes rounds, and so does the slowest chunk.
             counter("engine.fast.fused_rounds", fused_rounds)
@@ -825,13 +791,9 @@ class FastEngine:
             )
 
     def _lane_result(
-        self,
-        protocol: VectorizedProtocol,
-        lane: FastLane,
-        layout: LaneLayout,
-        rounds: int,
+        self, lane: FastLane, layout: LaneLayout, rounds: int
     ) -> SimulationResult:
-        outputs = protocol.outputs_for(layout)
+        outputs = self.protocol.outputs_for(layout)
         leader_output = (
             outputs.get(lane.leader) if lane.leader is not None else None
         )

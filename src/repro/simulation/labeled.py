@@ -17,13 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Protocol, Sequence, runtime_checkable
 
-from repro.simulation.errors import (
-    ProtocolViolationError,
-    TerminationError,
-    TopologyError,
-)
+from repro.simulation.errors import TerminationError, TopologyError
 from repro.simulation.messages import LabeledInbox
-from repro.simulation.node import Process
+from repro.simulation.node import Process, checked_compose
 
 __all__ = ["LabelSetProvider", "LabeledStarEngine", "LabeledRunResult"]
 
@@ -139,9 +135,9 @@ class LabeledStarEngine:
     def _execute_round(
         self, round_no: int, label_sets: list[frozenset[int]]
     ) -> None:
-        leader_payload = self._composed(self.leader_process, round_no)
+        leader_payload = checked_compose(self.leader_process, round_no)
         w_payloads = [
-            self._composed(process, round_no) for process in self.w_processes
+            checked_compose(process, round_no) for process in self.w_processes
         ]
 
         # The leader observes every parallel edge separately: one
@@ -164,19 +160,6 @@ class LabeledStarEngine:
                 else ()
             )
             process.deliver(round_no, LabeledInbox(pairs))
-
-    @staticmethod
-    def _composed(process: Process, round_no: int) -> Any:
-        payload = process.compose(round_no)
-        if payload is not None:
-            try:
-                hash(payload)
-            except TypeError as exc:
-                raise ProtocolViolationError(
-                    f"round {round_no}: unhashable broadcast payload "
-                    f"{payload!r} from {type(process).__name__}"
-                ) from exc
-        return payload
 
     def _result(self, rounds: int, *, terminated: bool) -> LabeledRunResult:
         outputs = {

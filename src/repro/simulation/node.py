@@ -23,9 +23,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any
 
+from repro.simulation.errors import ProtocolViolationError
 from repro.simulation.messages import Inbox
 
-__all__ = ["Process", "LeaderAware"]
+__all__ = ["Process", "LeaderAware", "checked_compose"]
 
 
 class Process(ABC):
@@ -63,6 +64,25 @@ class Process(ABC):
         ``self._output = value`` when they decide.
         """
         return getattr(self, "_output", None)
+
+
+def checked_compose(process: Process, round_no: int) -> Any:
+    """``process.compose(round_no)``, checked to be hashable.
+
+    Raises:
+        ProtocolViolationError: The payload is neither ``None`` nor
+            hashable.
+    """
+    payload = process.compose(round_no)
+    if payload is not None:
+        try:
+            hash(payload)
+        except TypeError as exc:
+            raise ProtocolViolationError(
+                f"round {round_no}: unhashable broadcast payload "
+                f"{payload!r} from {type(process).__name__}"
+            ) from exc
+    return payload
 
 
 class LeaderAware(Process, ABC):

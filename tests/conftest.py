@@ -23,6 +23,36 @@ def rng() -> np.random.Generator:
 
 
 @contextmanager
+def memory_sink() -> Iterator[io.StringIO]:
+    """An in-memory JSONL event sink, registered inside the block.
+
+    Yields the sink's buffer; the sink is always unregistered on exit.
+    """
+    buffer = io.StringIO()
+    sink = add_sink(JsonlSink(buffer))
+    try:
+        yield buffer
+    finally:
+        remove_sink(sink)
+
+
+@pytest.fixture
+def sink_buffer() -> Iterator[io.StringIO]:
+    """The buffer of an in-memory sink registered for one test."""
+    with memory_sink() as buffer:
+        yield buffer
+
+
+def events(buffer: io.StringIO, kind: str | None = None) -> list[dict]:
+    """The events written to ``buffer``, only those of ``kind`` if given."""
+    return [
+        event
+        for event in map(json.loads, buffer.getvalue().splitlines())
+        if kind is None or event.get("kind") == kind
+    ]
+
+
+@contextmanager
 def recorded_telemetry() -> Iterator[list[dict]]:
     """Telemetry on for every round inside the block.
 
@@ -30,19 +60,11 @@ def recorded_telemetry() -> Iterator[list[dict]]:
     block exits.  A context manager rather than a fixture, so that a
     hypothesis example records only its own run.
     """
-    buffer = io.StringIO()
-    sink = add_sink(JsonlSink(buffer))
-    events: list[dict] = []
-    try:
+    recorded: list[dict] = []
+    with memory_sink() as buffer:
         with telemetry_enabled():
-            yield events
-    finally:
-        remove_sink(sink)
-    events.extend(
-        event
-        for event in map(json.loads, buffer.getvalue().splitlines())
-        if event.get("kind") == "telemetry"
-    )
+            yield recorded
+    recorded.extend(events(buffer, "telemetry"))
 
 
 def label_set_strategy(k: int = 2) -> st.SearchStrategy:

@@ -191,11 +191,11 @@ class TestDrainBackendEquivalence:
         single, _batch = self.BATCHES[algorithm]
         sizes = [2, 5, 3]
         chunks = []
-        subset = VectorizedDrain.subset
+        allocate = VectorizedDrain.allocate
 
-        def spy(protocol, indices):
-            chunks.append((indices[0], indices[-1] + 1))
-            return subset(protocol, indices)
+        def spy(protocol, layouts):
+            chunks.append((layouts[0].index, layouts[-1].index + 1))
+            return allocate(protocol, layouts)
 
         obj = []
         obj_counters = dict.fromkeys(ENGINE_COUNTERS, 0)
@@ -206,7 +206,7 @@ class TestDrainBackendEquivalence:
             obj.append(outcome_key(outcome))
             for name, value in counters.items():
                 obj_counters[name] += value
-        monkeypatch.setattr(VectorizedDrain, "subset", spy)
+        monkeypatch.setattr(VectorizedDrain, "allocate", spy)
         fast, fast_counters = self._run(
             self.CHUNKED[algorithm],
             [random_network(n, seed=4) for n in sizes],

@@ -16,21 +16,7 @@ from repro.obs.spans import (
     remove_sink,
     span,
 )
-
-
-@pytest.fixture
-def sink_buffer():
-    """A registered in-memory sink; yields its buffer, always unregisters."""
-    buffer = io.StringIO()
-    sink = add_sink(JsonlSink(buffer))
-    try:
-        yield buffer
-    finally:
-        remove_sink(sink)
-
-
-def _events(buffer: io.StringIO) -> list[dict]:
-    return [json.loads(line) for line in buffer.getvalue().splitlines()]
+from tests import conftest
 
 
 class TestSpanNesting:
@@ -41,7 +27,7 @@ class TestSpanNesting:
                 with span("leaf"):
                     assert current_span().depth == 2
         assert current_span() is None
-        events = _events(sink_buffer)
+        events = conftest.events(sink_buffer)
         # Innermost closes first.
         assert [e["name"] for e in events] == ["leaf", "middle", "outer"]
         assert [e["depth"] for e in events] == [2, 1, 0]
@@ -60,7 +46,7 @@ class TestSpanNesting:
             pass
         with span("second"):
             pass
-        events = _events(sink_buffer)
+        events = conftest.events(sink_buffer)
         assert all(e["depth"] == 0 for e in events)
         assert all("parent" not in e for e in events)
 
@@ -69,7 +55,7 @@ class TestSpanNesting:
             with span("failing"):
                 raise RuntimeError("boom")
         assert current_span() is None
-        events = _events(sink_buffer)
+        events = conftest.events(sink_buffer)
         assert events[0]["name"] == "failing"
         assert events[0]["duration_s"] >= 0
 
@@ -78,7 +64,7 @@ class TestSpanData:
     def test_attrs_and_rss(self, sink_buffer):
         with span("attributed", experiment="tab-x", r=3) as record:
             pass
-        event = _events(sink_buffer)[0]
+        event = conftest.events(sink_buffer)[0]
         assert event["kind"] == "span"
         assert event["attrs"] == {"experiment": "tab-x", "r": 3}
         if peak_rss_mib() is not None:  # POSIX
@@ -130,7 +116,7 @@ class TestJsonlSink:
     def test_non_json_attrs_fall_back_to_repr(self, sink_buffer):
         with span("weird", payload={1, 2}):
             pass
-        event = _events(sink_buffer)[0]
+        event = conftest.events(sink_buffer)[0]
         assert "1, 2" in event["attrs"]["payload"]
 
     def test_remove_sink_is_idempotent(self):

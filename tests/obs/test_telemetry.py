@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-import io
-import json
-
 import pytest
 
 from repro.core.counting.flooding import flood_time_via_protocol
 from repro.networks.generators import star_network
 from repro.networks.generators.random_dynamic import RandomConnectedAdversary
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.spans import JsonlSink, add_sink, remove_sink
 from repro.obs.telemetry import (
     Telemetry,
     active,
@@ -20,6 +16,7 @@ from repro.obs.telemetry import (
     parse_every,
     telemetry_enabled,
 )
+from tests import conftest
 
 #: Fields both engines must report identically for the same run.
 TRAJECTORY_FIELDS = [
@@ -31,24 +28,6 @@ TRAJECTORY_FIELDS = [
     "edges",
     "nodes",
 ]
-
-
-@pytest.fixture
-def sink_buffer():
-    buffer = io.StringIO()
-    sink = add_sink(JsonlSink(buffer))
-    try:
-        yield buffer
-    finally:
-        remove_sink(sink)
-
-
-def _telemetry_events(buffer: io.StringIO) -> list[dict]:
-    return [
-        event
-        for event in map(json.loads, buffer.getvalue().splitlines())
-        if event.get("kind") == "telemetry"
-    ]
 
 
 class TestConfig:
@@ -89,19 +68,23 @@ class TestConfig:
             parse_every("every=zero")
         with pytest.raises(ValueError):
             parse_every("0")
+        # Regression: any key, or none, before "=" read as every=K.
+        for text in ("foo=3", "=3", "every=every=3"):
+            with pytest.raises(ValueError, match="expects K or every=K"):
+                parse_every(text)
 
 
 class TestEmission:
     def test_off_means_no_events(self, sink_buffer):
         flood_time_via_protocol(star_network(6), 0, backend="object")
         flood_time_via_protocol(star_network(6), 0, backend="fast")
-        assert _telemetry_events(sink_buffer) == []
+        assert conftest.events(sink_buffer, "telemetry") == []
 
     def test_records_counted_and_stamped(self, sink_buffer):
         with use_registry(MetricsRegistry()) as registry:
             with telemetry_enabled():
                 flood_time_via_protocol(star_network(6), 0, backend="object")
-        events = _telemetry_events(sink_buffer)
+        events = conftest.events(sink_buffer, "telemetry")
         assert events
         snapshot = registry.snapshot()
         assert snapshot["counters"]["telemetry.records"] == len(events)
@@ -115,7 +98,7 @@ class TestEmission:
         network = star_network(5)
         with telemetry_enabled(every=2):
             flood_time_via_protocol(network, 1, backend="object")
-        rounds = [e["round"] for e in _telemetry_events(sink_buffer)]
+        rounds = [e["round"] for e in conftest.events(sink_buffer, "telemetry")]
         assert rounds
         assert all(r % 2 == 0 for r in rounds)
 
@@ -133,7 +116,7 @@ class TestDifferential:
                 star_network(9), source, backend="fast"
             )
         assert rounds_object == rounds_fast
-        events = _telemetry_events(sink_buffer)
+        events = conftest.events(sink_buffer, "telemetry")
         trajectory = {
             engine: [
                 [event[field] for field in TRAJECTORY_FIELDS]
@@ -155,7 +138,7 @@ class TestDifferential:
             assert flood_time_via_protocol(
                 network(), 0, backend="object"
             ) == flood_time_via_protocol(network(), 0, backend="fast")
-        events = _telemetry_events(sink_buffer)
+        events = conftest.events(sink_buffer, "telemetry")
         by_engine = {
             engine: [
                 [event[field] for field in TRAJECTORY_FIELDS]
@@ -174,6 +157,6 @@ class TestDifferential:
                 0,
                 backend="fast",
             )
-        informed = [e["informed"] for e in _telemetry_events(sink_buffer)]
+        informed = [e["informed"] for e in conftest.events(sink_buffer, "telemetry")]
         assert informed == sorted(informed)
         assert informed[-1] == 10

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 
 import pytest
@@ -34,20 +33,7 @@ from repro.obs.trace import (
     render_trace,
     stitch,
 )
-
-
-@pytest.fixture
-def sink_buffer():
-    buffer = io.StringIO()
-    sink = add_sink(JsonlSink(buffer))
-    try:
-        yield buffer
-    finally:
-        remove_sink(sink)
-
-
-def _events(buffer: io.StringIO) -> list[dict]:
-    return [json.loads(line) for line in buffer.getvalue().splitlines()]
+from tests import conftest
 
 
 class TestIdentity:
@@ -60,7 +46,7 @@ class TestIdentity:
         with span("root"):
             with span("child"):
                 pass
-        child, root = _events(sink_buffer)
+        child, root = conftest.events(sink_buffer)
         assert root["trace_id"] == child["trace_id"]
         assert child["parent_id"] == root["span_id"]
         assert "parent_id" not in root
@@ -70,7 +56,7 @@ class TestIdentity:
             pass
         with span("second"):
             pass
-        first, second = _events(sink_buffer)
+        first, second = conftest.events(sink_buffer)
         assert first["trace_id"] != second["trace_id"]
 
     def test_ambient_context_adoption(self, sink_buffer):
@@ -81,7 +67,7 @@ class TestIdentity:
                 pass
         finally:
             clear_context()
-        event = _events(sink_buffer)[0]
+        event = conftest.events(sink_buffer)[0]
         assert event["trace_id"] == "cafe" * 4
         assert event["parent_id"] == "beef" * 4
 
@@ -101,7 +87,7 @@ class TestIdentity:
         for _ in range(3):
             with span("stamped"):
                 pass
-        events = _events(sink_buffer)
+        events = conftest.events(sink_buffer)
         assert all(event["pid"] > 0 for event in events)
         assert [event["seq"] for event in events] == [0, 1, 2]
 

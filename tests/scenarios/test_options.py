@@ -118,6 +118,9 @@ class TestExecutionOptionsValidation:
     def test_bad_telemetry_uses_runtime_parser_message(self):
         with pytest.raises(ValueError):
             ExecutionOptions(telemetry="every=zero")
+        # Regression: a scenario's "foo=3" read as every=3.
+        with pytest.raises(ValueError, match="expects K or every=K"):
+            ExecutionOptions.from_dict({"telemetry": "foo=3"})
 
     def test_retry_policy_delegation(self):
         options = ExecutionOptions(retries=3, timeout=1.5, max_failures=2)

@@ -11,8 +11,6 @@ same outputs, rounds, ``engine.*`` counters, telemetry and errors.
 
 from __future__ import annotations
 
-import io
-import json
 import multiprocessing
 import threading
 
@@ -29,10 +27,10 @@ from repro.networks.csr import csr_from_edges
 from repro.networks.csr_native import DynamicGraph
 from repro.networks.generators.random_dynamic import RandomConnectedAdversary
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.spans import JsonlSink, add_sink, remove_sink
 from repro.obs.telemetry import telemetry_enabled
 from repro.simulation import fast
 from repro.simulation.errors import TopologyError
+from tests.conftest import events, memory_sink
 
 #: Counters a run must report identically with the path on and off.
 COUNTERS = (
@@ -72,27 +70,22 @@ def _instrumented(invoke, *, on: bool, monkeypatch):
     """``invoke()`` with the path on or off: its value (or the error's
     type and message), counters, telemetry, and the rounds drawn ahead."""
     monkeypatch.setattr(fast, "DRAW_AHEAD_MIN_LANE_NODES", 1 if on else 2**62)
-    buffer = io.StringIO()
-    sink = add_sink(JsonlSink(buffer))
     registry = MetricsRegistry()
-    try:
+    with memory_sink() as buffer:
         with use_registry(registry), telemetry_enabled(every=1):
             try:
                 value = invoke()
             except Exception as exc:  # noqa: BLE001 - compared below
                 value = (type(exc), str(exc))
-    finally:
-        remove_sink(sink)
     snapshot = registry.snapshot()["counters"]
     counters = {name: snapshot.get(name, 0) for name in COUNTERS}
     envelope = ("ts", "kind", "pid", "trace_id", "seq")
-    events = [
+    telemetry = [
         {key: event[key] for key in event if key not in envelope}
-        for event in map(json.loads, buffer.getvalue().splitlines())
-        if event.get("kind") == "telemetry"
+        for event in events(buffer, "telemetry")
     ]
     drawn = snapshot.get("adjacency.rounds_drawn_ahead", 0)
-    return value, counters, events, drawn
+    return value, counters, telemetry, drawn
 
 
 def _assert_same(invoke, monkeypatch, *, drawn_ahead: bool = True):

@@ -9,14 +9,13 @@ bounded by the chunk budget instead of the grid.
 
 from __future__ import annotations
 
-import io
-import json
 import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core.counting.flooding import flood_times_batch
+from repro.core.counting.flooding import VectorizedFlood, flood_times_batch
 from repro.core.counting.gossip import gossip_size_estimates_batch
 from repro.core.counting.star import VectorizedStar
 from repro.core.counting.token_ids import count_with_ids_batch
@@ -28,10 +27,9 @@ from repro.networks.generators.random_dynamic import (
     random_connected_graph,
 )
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.spans import JsonlSink, add_sink, remove_sink
 from repro.obs.telemetry import telemetry_enabled
 from repro.simulation.engine import EngineConfig
-from repro.simulation.errors import TerminationError
+from repro.simulation.errors import TerminationError, TopologyError
 from repro.simulation.fast import (
     FastEngine,
     FastLane,
@@ -42,6 +40,7 @@ from repro.simulation.fast import (
     lane_budget_enabled,
     partition_lanes,
 )
+from tests.conftest import events, memory_sink
 
 #: Counters a chunked run must report byte-identically to monolithic.
 COUNTERS = (
@@ -84,23 +83,18 @@ FAMILIES = {"static": _static, "dynamic-csr": _dynamic}
 
 def _run_instrumented(invoke, budget, *, every=1):
     """Run ``invoke(budget)`` capturing results, counters, telemetry."""
-    buffer = io.StringIO()
-    sink = add_sink(JsonlSink(buffer))
     registry = MetricsRegistry()
-    try:
+    with memory_sink() as buffer:
         with use_registry(registry), telemetry_enabled(every=every):
             value = invoke(budget)
-    finally:
-        remove_sink(sink)
     snapshot = registry.snapshot()["counters"]
     counters = {name: snapshot.get(name, 0) for name in COUNTERS}
     envelope = ("ts", "kind", "pid", "trace_id", "seq")
-    events = [
+    telemetry = [
         {key: event[key] for key in event if key not in envelope}
-        for event in map(json.loads, buffer.getvalue().splitlines())
-        if event.get("kind") == "telemetry"
+        for event in events(buffer, "telemetry")
     ]
-    return value, counters, events
+    return value, counters, telemetry
 
 
 def _assert_equivalent(invoke, *, every=1):
@@ -259,7 +253,7 @@ class TestChunkedEquivalence:
 
 
 class _NoSubsetFlood(VectorizedProtocol):
-    """A minimal protocol without chunking support."""
+    """A minimal protocol with no chunking code of its own."""
 
     def allocate(self, layouts):
         self._layouts = list(layouts)
@@ -277,27 +271,67 @@ class _NoSubsetFlood(VectorizedProtocol):
         return {index: True for index in range(layout.n)}
 
 
-class TestNonSubsettableProtocol:
-    def _lanes(self):
-        return [FastLane(_static(n, n), n, leader=0) for n in (3, 4)]
+class TestOneProtocolObject:
+    """One protocol object runs every chunk, with no chunking code."""
 
-    def test_multi_chunk_raises_actionable_type_error(self):
+    def test_any_protocol_chunks(self):
+        def invoke(budget):
+            lanes = [
+                FastLane(_static(n, seed), n, leader=0)
+                for seed, n in enumerate(SIZES)
+            ]
+            engine = FastEngine(
+                _NoSubsetFlood(),
+                lanes,
+                config=EngineConfig(max_rounds=4),
+                max_lane_nodes=budget,
+            )
+            return [
+                (result.rounds, result.outputs) for result in engine.run()
+            ]
+
+        _assert_equivalent(invoke)
+
+    def test_missing_lane_argument_raises(self):
+        lanes = [FastLane(_static(3, seed), 3, leader=None) for seed in range(3)]
         engine = FastEngine(
-            _NoSubsetFlood(),
-            self._lanes(),
-            config=EngineConfig(max_rounds=4),
-            max_lane_nodes=4,
+            VectorizedFlood([0, 0]),
+            lanes,
+            config=EngineConfig(max_rounds=8, stop_when="all"),
+            max_lane_nodes=3,
         )
-        with pytest.raises(TypeError, match="_NoSubsetFlood"):
+        with pytest.raises(ValueError, match="one source per lane required"):
             engine.run()
 
-    def test_single_chunk_needs_no_subset(self):
-        engine = FastEngine(
-            _NoSubsetFlood(),
-            self._lanes(),
-            config=EngineConfig(max_rounds=4),
-        )
-        assert len(engine.run()) == 2
+    @pytest.mark.parametrize("budget", [3, None])
+    def test_errors_name_the_batch_lane(self, budget):
+        path = nx.path_graph(3)
+        split = path.copy()
+        split.remove_edge(0, 1)
+        graphs = [DynamicGraph.from_graphs([graph]) for graph in (path, split)]
+
+        def run(sizes):
+            lanes = [
+                FastLane(graph, n, leader=None)
+                for graph, n in zip(graphs, sizes)
+            ]
+            FastEngine(
+                VectorizedFlood([0, 0]),
+                lanes,
+                config=EngineConfig(max_rounds=8, stop_when="all"),
+                max_lane_nodes=budget,
+            ).run()
+
+        with pytest.raises(TopologyError, match="^round 0: lane 1 graph is"):
+            run([3, 3])
+        with pytest.raises(
+            TopologyError, match="^lane 1 topology has 3 nodes, expected 4"
+        ):
+            run([3, 4])
+
+    def test_protocol_has_no_chunking_interface(self):
+        assert not hasattr(VectorizedProtocol, "subset")
+        assert not hasattr(VectorizedProtocol, "absorb")
 
 
 class TestAmbientBudget:

@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.networks.multigraph import DynamicMultigraph
-from repro.simulation.errors import TerminationError, TopologyError
+from repro.simulation.errors import (
+    ProtocolViolationError,
+    TerminationError,
+    TopologyError,
+)
 from repro.simulation.labeled import LabeledStarEngine
 from repro.simulation.messages import LabeledInbox
 from repro.simulation.node import Process
@@ -72,6 +76,25 @@ class TestLabeledStarEngine:
         node = RecordingNode()
         LabeledStarEngine(leader, [node], multigraph).run()
         assert len(node.inboxes[0]) == 0
+
+    @pytest.mark.parametrize("sender", ["leader", "node"])
+    def test_unhashable_payload_raises(self, sender):
+        class ListLeader(RecordingLeader):
+            def compose(self, round_no):
+                return ["beacon"]
+
+        class ListNode(RecordingNode):
+            def compose(self, round_no):
+                return ["node"]
+
+        leader = ListLeader() if sender == "leader" else RecordingLeader()
+        node = ListNode() if sender == "node" else RecordingNode()
+        engine = LabeledStarEngine(leader, [node], mdbl([[{1}]]))
+        with pytest.raises(
+            ProtocolViolationError,
+            match=r"^round 0: unhashable broadcast payload \[",
+        ):
+            engine.run()
 
     def test_budget_stop(self):
         multigraph = mdbl([[{1}]], extend="full")
