@@ -37,7 +37,16 @@ smoke:
 	assert 'span.experiment.run.s' in s['histograms'], s"
 	@rm -f .check-metrics.json
 	$(PYTHON) -m repro all --jobs 2
-	$(PYTHON) -m repro all --backend fast --jobs 2
+	@rm -f .check-events.jsonl .check-fast-metrics.json
+	$(PYTHON) -m repro all --backend fast --jobs 2 --max-lane-nodes 50 \
+		--telemetry 5 --log-json .check-events.jsonl \
+		--metrics-out .check-fast-metrics.json
+	$(PYTHON) -c "import json; \
+	t = [e for e in map(json.loads, open('.check-events.jsonl')) if e.get('kind') == 'telemetry']; \
+	c = json.load(open('.check-fast-metrics.json'))['counters']; \
+	assert len({e['pid'] for e in t}) >= 2, 'telemetry from fewer than 2 worker pids'; \
+	assert c['telemetry.records'] == len(t), (c['telemetry.records'], len(t))"
+	@rm -f .check-events.jsonl .check-fast-metrics.json
 	$(PYTHON) -m repro run tab-kernel-structure --inject-fault raise@0 --retries 2
 	@rm -rf .check-cache .check-report.md .check-resume-metrics.json
 	! $(PYTHON) -m repro report .check-report.md $(SMOKE_EXPERIMENTS) \

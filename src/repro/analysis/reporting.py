@@ -2,27 +2,22 @@
 
 Turns :class:`repro.analysis.registry.ExperimentResult` objects into the
 Markdown used in ``EXPERIMENTS.md`` (fenced table, notes, check
-summary), and can regenerate a full report over every registered
-experiment -- the CLI exposes this as ``python -m repro report``.
+summary), and renders a whole sweep's :class:`SweepOutcome` as one
+document -- the CLI exposes this as ``python -m repro report``.
 
-Reports run through the fault-tolerant runtime
-(:func:`repro.analysis.runtime.run_sweep`): they can resume from a
-checkpoint journal, retry transient failures, and -- when the run
-degraded or resumed -- record that provenance in a closing section, so
-a report always says how it was produced.
+Rendering runs nothing: the caller runs the sweep (``repro report``
+goes through :func:`repro.scenarios.runner.run_requests`, so a report
+can resume from a checkpoint journal and retry transient failures), and
+when the run degraded or resumed the report records that provenance in
+a closing section, so it always says how it was produced.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
 
-from repro.analysis.registry import ExperimentRequest, ExperimentResult
-from repro.analysis.runtime.cache import ResultCache
-from repro.analysis.runtime.faults import FaultPlan
-from repro.analysis.runtime.journal import Journal
-from repro.analysis.runtime.retry import RetryPolicy
-from repro.analysis.runtime.runner import run_sweep
+from repro.analysis.registry import ExperimentResult
+from repro.analysis.runtime.runner import SweepOutcome
 from repro.analysis.tables import render_table
 
 __all__ = ["result_to_markdown", "full_report", "write_report"]
@@ -49,62 +44,20 @@ def result_to_markdown(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
-def full_report(
-    *,
-    experiments: list[str] | None = None,
-    requests: Sequence[ExperimentRequest] | None = None,
-    title: str = "Experiment report",
-    jobs: int = 1,
-    cache: ResultCache | str | Path | None = None,
-    journal: Journal | None = None,
-    resume: bool = False,
-    policy: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
-    shard: tuple[int, int] | None = None,
-) -> str:
-    """Run experiments (default: all) and render one Markdown document.
+def full_report(outcome: SweepOutcome, *, title: str = "Experiment report") -> str:
+    """Render a sweep's outcome as one Markdown document.
 
     Args:
-        experiments: Restrict to these experiment ids (registry order
-            is kept for ``None``); shorthand for default requests.
-        requests: Explicit :class:`ExperimentRequest` values (takes
-            precedence over ``experiments``).
+        outcome: The finished sweep (see
+            :func:`repro.scenarios.runner.run_requests`); its results
+            are rendered in order.
         title: Heading of the generated document.
-        jobs: Worker processes for the runs (see
-            :func:`repro.analysis.runtime.run_sweep`); serial by
-            default, so a report is bit-identical to ``repro all``.
-        cache: A :class:`~repro.analysis.runtime.cache.ResultCache` or
-            a cache directory path; cached experiments are not re-run.
-        journal: Optional checkpoint journal (see
-            ``docs/ROBUSTNESS.md``).
-        resume: Replay the journal and skip completed tasks.
-        policy: Retry/timeout/failure budget for the run.
-        faults: Deterministic fault injection (tests/CI only).
-        shard: Optional ``(index, count)`` partition; only the owned
-            subset of the sweep runs (and is reported) here -- see
-            ``--shard`` in ``docs/PERFORMANCE.md``.
 
     The rendered document ends with a *Run provenance* section whenever
     the runtime has something to declare (resume, retries exhausted,
     degradation to serial) -- partial-run provenance is part of the
     report, not hidden in logs.
     """
-    if cache is not None and not isinstance(cache, ResultCache):
-        cache = ResultCache(cache)
-    if requests is None:
-        names = experiments  # None means the full registry
-        if names is not None:
-            requests = [ExperimentRequest(experiment=name) for name in names]
-    outcome = run_sweep(
-        requests,
-        jobs=jobs,
-        cache=cache,
-        journal=journal,
-        resume=resume,
-        policy=policy,
-        faults=faults,
-        shard=shard,
-    )
     sections = [f"# {title}", ""]
     for result in outcome.results:
         sections.append(result_to_markdown(result))
@@ -124,8 +77,10 @@ def full_report(
     return "\n".join(sections)
 
 
-def write_report(path: str | Path, **kwargs) -> Path:
-    """Run :func:`full_report` and write it to ``path``."""
+def write_report(
+    path: str | Path, outcome: SweepOutcome, *, title: str = "Experiment report"
+) -> Path:
+    """Write :func:`full_report` of ``outcome`` to ``path``."""
     path = Path(path)
-    path.write_text(full_report(**kwargs) + "\n")
+    path.write_text(full_report(outcome, title=title) + "\n")
     return path

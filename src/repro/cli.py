@@ -32,10 +32,17 @@ Usage::
     python -m repro submit scenarios/smoke.json --url http://127.0.0.1:8765
 
 Parameters given as ``--param name=value`` are parsed as Python literals
-and forwarded to the experiment function.  Every command builds typed
-:class:`~repro.analysis.registry.ExperimentRequest` values and executes
-them through the fault-tolerant runtime
-(:func:`repro.analysis.runtime.run_sweep`).
+and forwarded to the experiment function.  ``run`` / ``all`` / ``report``
+read their execution flags into one
+:class:`~repro.scenarios.options.ExecutionOptions`, build typed
+:class:`~repro.analysis.registry.ExperimentRequest` values, and execute
+them through :func:`repro.scenarios.runner.run_requests` -- the same
+call ``scenario run`` and ``repro serve`` reach through
+:func:`~repro.scenarios.runner.run_scenario`, so a command line and the
+equivalent scenario file run one sweep the same way on the
+fault-tolerant runtime (:func:`repro.analysis.runtime.run_sweep`).
+An unknown experiment id exits with the list of valid ids before
+anything runs.
 
 Execution options (``run`` / ``all`` / ``report`` share one group, built
 from :data:`repro.scenarios.options.EXECUTION_FIELDS` -- the same table
@@ -50,7 +57,8 @@ schema fields cannot drift):
 * ``--seed S`` -- randomness seed, applied to the experiments that
   declare support for it.
 * ``--cache-dir PATH`` -- JSON result cache *and* the checkpoint
-  journal (``PATH/journal.jsonl``).
+  journal (``PATH/journal.jsonl``; ``scenario run`` keeps
+  ``PATH/scenario-<digest>.journal.jsonl``).
 * ``--resume`` -- replay the journal: skip completed tasks, re-queue
   in-flight ones (requires ``--cache-dir``).
 * ``--timeout S`` / ``--retries N`` / ``--max-failures N`` -- per-task
@@ -116,10 +124,13 @@ import ast
 import json
 import sys
 from contextlib import ExitStack
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
 from repro.analysis.registry import available_experiments
+from repro.analysis.runtime import FaultPlan, Journal, ResultCache, SweepOutcome
+from repro.scenarios.options import EXECUTION_FIELDS, add_execution_arguments
 
 __all__ = ["main"]
 
@@ -182,8 +193,6 @@ def _execution_options() -> argparse.ArgumentParser:
     ``all`` / ``report`` flags and a scenario file's ``execution``
     section are one surface and cannot drift.
     """
-    from repro.scenarios.options import add_execution_arguments
-
     parent = argparse.ArgumentParser(add_help=False)
     add_execution_arguments(parent)
     return parent
@@ -364,15 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "path", help="scenario file (.json or .toml)"
     )
     scenario_run.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help=(
-            "cache results under PATH and keep the scenario's "
-            "digest-keyed checkpoint journal there (enables --resume)"
-        ),
-    )
-    scenario_run.add_argument(
         "--resume",
         action="store_true",
         default=None,
@@ -381,16 +381,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "checkpoint journal (requires --cache-dir)"
         ),
     )
-    scenario_run.add_argument(
-        "--inject-fault",
-        default=None,
-        metavar="KIND@K",
-        help=(
-            "testing: deterministically inject a fault "
-            "(raise|fatal|hang|kill) into the K-th pending task's "
-            "first attempt"
-        ),
-    )
+    for spec in EXECUTION_FIELDS:
+        if not spec.schema:
+            scenario_run.add_argument(spec.flag, **dict(spec.kwargs))
     serve = commands.add_parser(
         "serve",
         parents=[obs_options],
@@ -442,47 +435,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _runtime_setup(args: argparse.Namespace) -> dict[str, Any]:
-    """Shared ``run_sweep`` keyword arguments from the execution flags."""
-    from repro.analysis.runtime import (
-        FaultPlan,
-        Journal,
-        ResultCache,
-        RetryPolicy,
-        parse_shard,
-    )
-
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    journal = (
-        Journal(Path(args.cache_dir) / "journal.jsonl")
-        if args.cache_dir
-        else None
-    )
-    if args.resume and journal is None:
+def _sweep_store(
+    args: argparse.Namespace, journal_name: str, resume: bool
+) -> dict[str, Any]:
+    """The cache, journal and fault plan of one sweep, from its flags."""
+    if resume and not args.cache_dir:
         raise SystemExit(
             "--resume requires --cache-dir: the checkpoint journal and "
             "the completed results live there"
         )
     try:
-        policy = RetryPolicy(
-            retries=args.retries,
-            timeout_s=args.timeout,
-            max_failures=args.max_failures,
-        )
         faults = (
             FaultPlan.parse(args.inject_fault) if args.inject_fault else None
         )
-        shard = parse_shard(args.shard) if args.shard else None
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
+    if not args.cache_dir:
+        return {"faults": faults}
     return {
-        "cache": cache,
-        "journal": journal,
-        "resume": args.resume,
-        "policy": policy,
+        "cache": ResultCache(args.cache_dir),
+        "journal": Journal(Path(args.cache_dir) / journal_name),
         "faults": faults,
-        "shard": shard,
     }
+
+
+def _print_outcome(outcome: SweepOutcome, end: str = "\n\n") -> int:
+    """Print a sweep's results and provenance; returns the exit code."""
+    for result in outcome.results:
+        print(result.render(), end=end)
+    for line in outcome.provenance:
+        print(f"provenance: {line}")
+    return 0 if outcome.passed else 1
 
 
 def _execute_verify(args: argparse.Namespace) -> int:
@@ -560,52 +543,23 @@ def _execute_scenario_validate(args: argparse.Namespace) -> int:
 
 def _execute_scenario_run(args: argparse.Namespace) -> int:
     """``repro scenario run``: execute a scenario file locally."""
-    from repro.analysis.runtime import FaultPlan, Journal, ResultCache
     from repro.scenarios import ScenarioError, load_scenario, run_scenario
 
     try:
         scenario = load_scenario(args.path)
     except (OSError, ScenarioError) as exc:
         raise SystemExit(str(exc)) from exc
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    journal = (
-        Journal(
-            Path(args.cache_dir)
-            / f"scenario-{scenario.digest()}.journal.jsonl"
-        )
-        if args.cache_dir
-        else None
-    )
     resume = (
         scenario.execution.resume if args.resume is None else args.resume
     )
-    if resume and journal is None:
-        raise SystemExit(
-            "--resume requires --cache-dir: the checkpoint journal and "
-            "the completed results live there"
-        )
+    store = _sweep_store(
+        args, f"scenario-{scenario.digest()}.journal.jsonl", resume
+    )
     try:
-        faults = (
-            FaultPlan.parse(args.inject_fault) if args.inject_fault else None
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
-    try:
-        outcome = run_scenario(
-            scenario,
-            cache=cache,
-            journal=journal,
-            resume=resume,
-            faults=faults,
-        )
+        outcome = run_scenario(scenario, resume=resume, **store)
     except (ScenarioError, TypeError) as exc:
         raise SystemExit(str(exc)) from exc
-    for result in outcome.results:
-        print(result.render())
-        print()
-    for line in outcome.provenance:
-        print(f"provenance: {line}")
-    return 0 if outcome.passed else 1
+    return _print_outcome(outcome)
 
 
 def _execute_serve(args: argparse.Namespace) -> int:
@@ -668,16 +622,30 @@ def _execute(args: argparse.Namespace) -> int:
     if args.command == "submit":
         return _execute_submit(args)
 
-    from repro.analysis.registry import ExperimentRequest, experiment_options
-    from repro.analysis.runtime import run_sweep
-    from repro.scenarios.options import ExecutionOptions
+    from repro.analysis.registry import (
+        ExperimentRequest,
+        experiment_options,
+        get_spec,
+    )
+    from repro.scenarios import ExecutionOptions, run_requests
 
     try:
         options = ExecutionOptions.from_namespace(args)
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
+    if args.command == "run":
+        names = [args.experiment]
+    elif args.command == "report" and args.experiment:
+        names = args.experiment
+    else:
+        names = available_experiments()
+    for name in names:
+        try:
+            get_spec(name)
+        except KeyError as exc:
+            raise SystemExit(exc.args[0]) from exc
+    store = _sweep_store(args, "journal.jsonl", options.resume)
     backend = options.request_backend()
-    runtime = _runtime_setup(args)
     if args.command == "run":
         params = _parse_params(args.param)
         if backend is not None and "backend" not in experiment_options(
@@ -695,49 +663,25 @@ def _execute(args: argparse.Namespace) -> int:
             jobs=args.jobs if args.jobs > 1 else None,
             seed=options.seed,
         )
-        outcome = run_sweep([request], jobs=1, **runtime)
+        outcome = run_requests([request], replace(options, jobs=1), **store)
         if not outcome.results:  # the task belongs to another shard
             print(
                 f"experiment {args.experiment!r} is not owned by "
                 f"--shard {args.shard}; nothing ran"
             )
-            for line in outcome.provenance:
-                print(f"provenance: {line}")
-            return 0
-        result = outcome.results[0]
-        print(result.render())
-        for line in outcome.provenance:
-            print(f"provenance: {line}")
-        return 0 if result.passed else 1
+        return _print_outcome(outcome, end="\n")
+    requests = [
+        ExperimentRequest(experiment=name, backend=backend, seed=options.seed)
+        for name in names
+    ]
+    outcome = run_requests(requests, options, **store)
     if args.command == "report":
         from repro.analysis.reporting import write_report
 
-        names = args.experiment or available_experiments()
-        requests = [
-            ExperimentRequest(
-                experiment=name, backend=backend, seed=options.seed
-            )
-            for name in names
-        ]
-        path = write_report(
-            args.path, requests=requests, jobs=args.jobs, **runtime
-        )
+        path = write_report(args.path, outcome)
         print(f"report written to {path}")
         return 0
-    # command == "all"
-    requests = [
-        ExperimentRequest(
-            experiment=name, backend=backend, seed=options.seed
-        )
-        for name in available_experiments()
-    ]
-    outcome = run_sweep(requests, jobs=args.jobs, **runtime)
-    for result in outcome.results:
-        print(result.render())
-        print()
-    for line in outcome.provenance:
-        print(f"provenance: {line}")
-    return 0 if outcome.passed else 1
+    return _print_outcome(outcome)
 
 
 def _execute_trace(args: argparse.Namespace) -> int:
@@ -816,17 +760,9 @@ def main(argv: list[str] | None = None) -> int:
         print(text)
         return status
 
-    from repro.obs import telemetry as telemetry_mod
     from repro.obs.logger import configure_logging, teardown_logging
     from repro.obs.metrics import MetricsRegistry, use_registry
     from repro.obs.profiling import memory_profiled, profiled
-
-    telemetry_arg = getattr(args, "telemetry", None)
-    if telemetry_arg is not None:
-        try:
-            telemetry_every = telemetry_mod.parse_every(telemetry_arg)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from exc
 
     handlers = configure_logging(args.log_level, json_path=args.log_json)
     try:
@@ -835,22 +771,6 @@ def main(argv: list[str] | None = None) -> int:
                 stack.enter_context(profiled())
             if args.profile_mem:
                 stack.enter_context(memory_profiled())
-            if telemetry_arg is not None:
-                stack.enter_context(
-                    telemetry_mod.telemetry_enabled(telemetry_every)
-                )
-            # `verify` shares the observability group only, so the
-            # execution flags default via getattr.
-            max_lane_nodes = getattr(args, "max_lane_nodes", None)
-            if max_lane_nodes is not None:
-                from repro.simulation import fast as fast_mod
-
-                try:
-                    stack.enter_context(
-                        fast_mod.lane_budget_enabled(max_lane_nodes)
-                    )
-                except ValueError as exc:
-                    raise SystemExit(str(exc)) from exc
             try:
                 return _execute(args)
             finally:

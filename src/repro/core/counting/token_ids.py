@@ -48,12 +48,26 @@ __all__ = [
 ]
 
 
-#: Columns of the known-ID matrix per sparse product.  The product
-#: takes a float64 copy and returns a float64 result, so a round's
-#: temporaries are two 8-byte cells per stacked node and block column,
-#: whatever the widest lane; lanes no wider than one block take a
-#: single product.
+#: Columns of a known-set matrix per sparse product in
+#: :func:`union_neighbour_sets`.  The product takes a float64 copy and
+#: returns a float64 result, so a round's temporaries are two 8-byte
+#: cells per stacked node and block column, whatever the widest lane;
+#: lanes no wider than one block take a single product.
 ID_COLUMN_BLOCK = 128
+
+
+def union_neighbour_sets(known: np.ndarray, adjacency) -> None:
+    """One flooding round of set unions in place: ``K |= A @ K > 0``.
+
+    ``known`` is a boolean (stacked nodes by set members) matrix.  A
+    column of ``A @ K`` reads only that column of ``K``, so the product
+    runs in blocks of :data:`ID_COLUMN_BLOCK` columns and gives the
+    same bits as one whole-width product.  ID flooding and token
+    flooding both step through here.
+    """
+    for lo in range(0, known.shape[1], ID_COLUMN_BLOCK):
+        block = known[:, lo : lo + ID_COLUMN_BLOCK]
+        block |= adjacency.matmul(block.astype(np.float64)) > 0.0
 
 
 class IdFloodProcess(Process):
@@ -88,9 +102,8 @@ class VectorizedIdFlood(VectorizedProtocol):
 
     Known-ID sets are rows of a boolean matrix ``K`` (stacked nodes by
     lane-local IDs); a round of pairwise set unions is
-    ``K |= A @ K > 0``, computed in blocks of :data:`ID_COLUMN_BLOCK`
-    columns (a column of ``A @ K`` reads only that column of ``K``, so
-    the blocks give the same bits as one product).  Each lane commits
+    ``K |= A @ K > 0``, computed in column blocks by
+    :func:`union_neighbour_sets`.  Each lane commits
     every node's count at its own horizon, so lanes with different
     horizons batch together (run under ``stop_when="leader"`` with
     ``max_rounds = max(horizons) + 1``).
@@ -124,9 +137,7 @@ class VectorizedIdFlood(VectorizedProtocol):
         total = self.known.shape[0]
         sending = np.ones(total, dtype=bool)
         delivered = adjacency.degrees
-        for lo in range(0, self.known.shape[1], ID_COLUMN_BLOCK):
-            block = self.known[:, lo : lo + ID_COLUMN_BLOCK]
-            block |= adjacency.matmul(block.astype(np.float64)) > 0.0
+        union_neighbour_sets(self.known, adjacency)
         for layout in self._layouts:
             horizon = self._horizons[layout.index]
             if round_no + 1 >= horizon and not self._mask[layout.offset]:

@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.counting.token_ids import union_neighbour_sets
 from repro.networks.csr_native import DynamicGraph
 from repro.simulation.engine import EngineConfig, SynchronousEngine
 from repro.simulation.errors import ModelError
@@ -107,9 +108,10 @@ class VectorizedTokenFlood(VectorizedProtocol):
     """Token flooding on the fast backend.
 
     Per-node token sets are rows of a boolean matrix (stacked nodes by
-    lane-local token columns); a round of set unions is one
-    sparse-by-dense matmul.  A node is done when its row is full; the
-    message total (token-copies transmitted, the object protocol's
+    lane-local token columns); a round of set unions is a
+    sparse-by-dense matmul in column blocks
+    (:func:`~repro.core.counting.token_ids.union_neighbour_sets`).  A
+    node is done when its row is full; the message total (token-copies transmitted, the object protocol's
     ``sent`` accounting) sums the row populations of every active lane
     at each send phase -- including the terminal round, exactly as the
     object protocol's ``compose`` does.
@@ -164,7 +166,7 @@ class VectorizedTokenFlood(VectorizedProtocol):
                 )
         sending = np.ones(total, dtype=bool)
         delivered = adjacency.degrees
-        self.known |= adjacency.matmul(self.known.astype(np.float64)) > 0.0
+        union_neighbour_sets(self.known, adjacency)
         return sending, delivered
 
     def output_mask(self) -> np.ndarray:

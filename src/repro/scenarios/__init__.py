@@ -8,8 +8,9 @@
 * :mod:`~repro.scenarios.options` -- :class:`ExecutionOptions`, the
   single execution-option surface shared by the CLI flag group, the
   scenario schema, and ``repro serve``.
-* :mod:`~repro.scenarios.runner` -- :func:`run_scenario`, the bridge
-  onto the fault-tolerant sweep runtime.
+* :mod:`~repro.scenarios.runner` -- :func:`run_requests`, the one
+  place execution options become a running sweep, and
+  :func:`run_scenario`, the bridge from a scenario onto it.
 """
 
 from repro.scenarios.options import (
@@ -18,7 +19,7 @@ from repro.scenarios.options import (
     add_execution_arguments,
     schema_fields,
 )
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.runner import run_requests, run_scenario
 from repro.scenarios.schema import (
     SCHEMA_VERSION,
     Scenario,
@@ -34,6 +35,7 @@ __all__ = [
     "ScenarioError",
     "add_execution_arguments",
     "load_scenario",
+    "run_requests",
     "run_scenario",
     "schema_fields",
 ]

@@ -20,10 +20,15 @@ derived from that table:
 
 so a test can assert CLI flags and schema fields are the *same set*
 (``tests/scenarios/test_options.py``) and they can never drift again.
+The options are read in one place too:
+:func:`repro.scenarios.runner.run_requests` turns an
+:class:`ExecutionOptions` into a running sweep for every surface.
 
 The CLI-only flags ``--cache-dir`` / ``--inject-fault`` ride in the
 same group but are not execution options: where results live and which
 fault to inject are properties of one invocation, not of a scenario.
+``repro scenario run`` adds exactly these two entries (the ones marked
+``schema=False``) to its own flags.
 """
 
 from __future__ import annotations
@@ -108,7 +113,8 @@ EXECUTION_FIELDS: tuple[FieldSpec, ...] = (
             "help": (
                 "cache results as JSON under PATH, keyed by "
                 "(experiment, params), and keep the checkpoint journal "
-                "at PATH/journal.jsonl; cached experiments are not re-run"
+                "there (a scenario's is keyed by its digest); cached "
+                "experiments are not re-run"
             ),
         },
         schema=False,

@@ -42,7 +42,7 @@ class TestCli:
         assert "PASS" in out
 
     def test_run_unknown_experiment(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit, match="unknown experiment 'tab-nope'"):
             main(["run", "tab-nope"])
 
     def test_all_accepts_jobs_and_cache(self, tmp_path, capsys, monkeypatch):
@@ -145,7 +145,7 @@ class TestCliObservability:
         assert "Log records" in out
 
     def test_metrics_out_written_even_on_failure(self, tmp_path):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit, match="unknown experiment 'tab-nope'"):
             main(
                 [
                     "run",
@@ -538,3 +538,73 @@ class TestCliLaneBudgetAndJit:
                     "0",
                 ]
             )
+
+
+class TestCliAndScenarioShareOnePath:
+    """``repro run`` and ``repro scenario run`` apply one execution the
+    same way: the lane budget and telemetry reach the engine on both."""
+
+    BUDGET, EVERY = 8, 2
+
+    @staticmethod
+    def _measure(argv: list[str], tmp_path, name: str) -> tuple[dict, int]:
+        import json
+
+        metrics = tmp_path / f"{name}-metrics.json"
+        log = tmp_path / f"{name}-events.jsonl"
+        code = main(
+            [*argv, "--metrics-out", str(metrics), "--log-json", str(log)]
+        )
+        assert code == 0
+        counters = {
+            key: value
+            for key, value in json.loads(metrics.read_text())[
+                "counters"
+            ].items()
+            if key.startswith(("engine.", "adjacency."))
+        }
+        records = sum(
+            json.loads(line).get("kind") == "telemetry"
+            for line in log.read_text().splitlines()
+        )
+        return counters, records
+
+    def test_same_counters_and_telemetry(self, tmp_path, capsys):
+        import json
+
+        run = ["run", "upper-vs-lower", "--param", "sizes=(3, 5)"]
+        budget = [
+            "--backend",
+            "fast",
+            "--max-lane-nodes",
+            str(self.BUDGET),
+            "--telemetry",
+            str(self.EVERY),
+        ]
+        scenario = tmp_path / "upper-vs-lower.json"
+        scenario.write_text(
+            json.dumps(
+                {
+                    "schema_version": 1,
+                    "name": "one-path",
+                    "experiment": "upper-vs-lower",
+                    "params": {"sizes": [3, 5]},
+                    "execution": {
+                        "backend": "fast",
+                        "max_lane_nodes": self.BUDGET,
+                        "telemetry": self.EVERY,
+                    },
+                }
+            )
+        )
+        cli, cli_records = self._measure([*run, *budget], tmp_path, "cli")
+        file, file_records = self._measure(
+            ["scenario", "run", str(scenario)], tmp_path, "scenario"
+        )
+        whole, whole_records = self._measure(
+            [*run, "--backend", "fast"], tmp_path, "whole"
+        )
+        assert cli == file
+        assert cli_records == file_records > 0
+        assert whole_records == 0
+        assert cli["adjacency.stack_builds"] != whole["adjacency.stack_builds"]

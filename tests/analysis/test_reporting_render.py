@@ -6,6 +6,7 @@ import networkx as nx
 
 from repro.analysis.registry import ExperimentResult, run_experiment
 from repro.analysis.reporting import full_report, result_to_markdown, write_report
+from repro.analysis.runtime import run_sweep
 from repro.networks.generators.figures import paper_figure1, paper_figure2_multigraph
 from repro.networks.render import (
     render_ambiguity_curve,
@@ -36,16 +37,12 @@ class TestMarkdownReporting:
         assert "FAILED: bad" in markdown
 
     def test_full_report_selected(self):
-        report = full_report(
-            experiments=["tab-star-pd1"], title="Mini report"
-        )
+        report = full_report(run_sweep(["tab-star-pd1"]), title="Mini report")
         assert report.startswith("# Mini report")
         assert "all experiments passed" in report
 
     def test_write_report(self, tmp_path):
-        path = write_report(
-            tmp_path / "report.md", experiments=["tab-star-pd1"]
-        )
+        path = write_report(tmp_path / "report.md", run_sweep(["tab-star-pd1"]))
         assert path.read_text().startswith("# Experiment report")
 
 

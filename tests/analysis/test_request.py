@@ -14,7 +14,7 @@ from repro.analysis.registry import (
     get_experiment,
     run_experiment,
 )
-from repro.analysis.runtime import ResultCache
+from repro.analysis.runtime import ResultCache, run_sweep
 
 
 class TestEffectiveParams:
@@ -183,22 +183,21 @@ class TestRunExperimentEntryPoint:
 
 
 class TestRemovedParamsKwarg:
-    """The ``params=`` sweep-wide override is gone: ``full_report`` has
-    no such keyword, so Python itself rejects it; grids go through
-    ``requests=`` (``grid_requests`` expands them)."""
+    """The ``params=`` sweep-wide override is gone: ``full_report`` only
+    renders a finished sweep, so Python itself rejects run keywords;
+    grids go through requests (``grid_requests`` expands them)."""
 
     def test_full_report_params_removed(self):
         from repro.analysis.reporting import full_report
 
+        outcome = run_sweep(["tab-star-pd1"])
         with pytest.raises(TypeError, match="'params'"):
-            full_report(
-                experiments=["tab-star-pd1"], params={"backend": "fast"}
-            )
+            full_report(outcome, params={"backend": "fast"})
 
     def test_full_report_requests_path_works(self):
         from repro.analysis.reporting import full_report
 
         report = full_report(
-            requests=[ExperimentRequest("tab-star-pd1", backend="fast")]
+            run_sweep([ExperimentRequest("tab-star-pd1", backend="fast")])
         )
         assert "tab-star-pd1" in report

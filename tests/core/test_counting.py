@@ -29,6 +29,7 @@ from repro.core.counting.token_ids import (
     count_with_ids,
     count_with_ids_batch,
 )
+from repro.core.dissemination import VectorizedTokenFlood
 from repro.core.lowerbound.bounds import corollary1_bound, rounds_to_count
 from repro.networks.csr import csr_from_lane_edges
 from repro.networks.generators.figures import paper_figure1
@@ -225,7 +226,17 @@ class TestIdColumnBlocks:
         assert outcomes[0] == outcomes[1]
         assert [count for count, _ in outcomes[0]] == list(self.SIZES)
 
-    def test_step_temporaries_are_bounded_by_the_block(self):
+    @pytest.mark.parametrize(
+        "make_protocol",
+        [
+            lambda sizes: VectorizedIdFlood([5] * len(sizes)),
+            lambda sizes: VectorizedTokenFlood(
+                [{node: node for node in range(n)} for n in sizes], sizes
+            ),
+        ],
+        ids=["ids", "tokens"],
+    )
+    def test_step_temporaries_are_bounded_by_the_block(self, make_protocol):
         sizes = (500, 1500)
         total, width = sum(sizes), max(sizes)
         block = token_ids.ID_COLUMN_BLOCK
@@ -237,7 +248,7 @@ class TestIdColumnBlocks:
         adjacency, _ = csr_from_lane_edges(
             list(sizes), [adversary.edges(0) for adversary in adversaries]
         )
-        protocol = VectorizedIdFlood([5, 5])
+        protocol = make_protocol(sizes)
         protocol.allocate(
             [LaneLayout(0, 0, 500, 0), LaneLayout(1, 500, 1500, 500)]
         )
